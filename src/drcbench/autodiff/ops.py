@@ -82,16 +82,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     return out
 
 
-def flatten(x: Tensor) -> Tensor:
-    """Collapse all non-batch axes: (N, ...) -> (N, prod)."""
-    n = x.shape[0]
-    out = result_tensor(x.data.reshape(n, -1), (x,), "flatten")
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """View the data in a new shape; the gradient is reshaped back."""
+    out = result_tensor(x.data.reshape(shape), (x,), "reshape")
     if out.requires_grad:
-        shape = x.shape
         def _backward(g):
-            x.accumulate_grad(g.reshape(shape))
+            x.accumulate_grad(g.reshape(x.shape))
         out._backward = _backward
     return out
+
+
+def flatten(x: Tensor) -> Tensor:
+    """Collapse all non-batch axes: (N, ...) -> (N, prod)."""
+    return reshape(x, (x.shape[0], -1))
 
 
 def crop(x: Tensor, axis: int, begin: int, end: int) -> Tensor:
@@ -255,44 +258,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """x: (N, L, C), w: (k, C, F), b: (F,) -> (N, Lo, F)."""
+    """x: (N, L, C), w: (k, C, F), b: (F,) -> (N, Lo, F).
+
+    A view of ``conv2d`` on a singleton height axis: (N, 1, L, C) by (1, k, C, F).
+    """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D input/kernel, got {x.shape} and {w.shape}")
     n, length, c = x.shape
-    k, cin, f = w.shape
-    if cin != c:
-        raise ShapeError(f"conv1d: input channels {c} != kernel channels {cin}")
-    if k > length:
-        raise ShapeError(f"conv1d: kernel {k} longer than input {length}")
-    if stride < 1:
-        raise DomainError(f"conv1d: stride must be >= 1, got {stride}")
-    lo = conv_out_len(length, k, stride)
-
-    data = np.zeros((n, lo, f), dtype=x.dtype)
-    flat = data.reshape(-1, f)
-    for i in range(k):
-        xs = x.data[:, i:i + stride * lo:stride, :]
-        flat += xs.reshape(-1, c) @ w.data[i]
-    data += b.data
-    out = result_tensor(data, (x, w, b), "conv1d")
-    if out.requires_grad:
-        def _backward(g):
-            gf = g.reshape(-1, f)
-            if b.requires_grad:
-                b.accumulate_grad(gf.sum(axis=0))
-            if w.requires_grad:
-                dw = np.empty_like(w.data)
-                for i in range(k):
-                    xs = x.data[:, i:i + stride * lo:stride, :]
-                    dw[i] = xs.reshape(-1, c).T @ gf
-                w.accumulate_grad(dw)
-            if x.requires_grad:
-                dx = np.zeros_like(x.data)
-                for i in range(k):
-                    dx[:, i:i + stride * lo:stride, :] += (gf @ w.data[i].T).reshape(n, lo, c)
-                x.accumulate_grad(dx)
-        out._backward = _backward
-    return out
+    out = conv2d(reshape(x, (n, 1, length, c)), reshape(w, (1, *w.shape)), b, stride)
+    return reshape(out, (n, out.shape[2], out.shape[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +302,12 @@ def maxpool2d(x: Tensor, window: tuple[int, int] = (2, 2)) -> Tensor:
 
 
 def maxpool1d(x: Tensor, window: int = 3) -> Tensor:
+    """(N, L, C) -> (N, L // window, C): ``maxpool2d`` on a singleton height axis."""
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool1d: expected 3-D input, got {x.shape}")
     n, length, c = x.shape
-    if window < 1:
-        raise DomainError(f"maxpool1d: window must be >= 1, got {window}")
-    lo = length // window
-    if lo == 0:
-        raise ShapeError(f"maxpool1d: window {window} larger than input length {length}")
-    xc = x.data[:, :lo * window, :]
-    flat = xc.reshape(n, lo, window, c).transpose(0, 1, 3, 2)
-    idx = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    out = result_tensor(data, (x,), "maxpool1d")
-    if out.requires_grad:
-        def _backward(g):
-            buf = np.zeros((n, lo, c, window), dtype=g.dtype)
-            np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-            dx = np.zeros_like(x.data)
-            dx[:, :lo * window, :] = buf.transpose(0, 1, 3, 2).reshape(n, lo * window, c)
-            x.accumulate_grad(dx)
-        out._backward = _backward
-    return out
+    out = maxpool2d(reshape(x, (n, 1, length, c)), (1, window))
+    return reshape(out, (n, out.shape[2], c))
 
 
 # ---------------------------------------------------------------------------

@@ -120,13 +120,6 @@ def _require_file(path: str | Path, field: str) -> Path:
     return path
 
 
-def _require_dataset(path: str | Path) -> Path:
-    root = Path(path)
-    if not (root / "manifest.json").exists():
-        raise ConfigError("dataset", f"no manifest.json under {root}")
-    return root
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     overrides = _common_overrides(args)
 
@@ -155,20 +148,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "representation.frame_len", args.frame_len)
         _set(overrides, "representation.n_mels", args.n_mels)
         cfg = experiment.load_config(args.config, overrides)
-        root = _require_dataset(args.dataset)
-        ckpt = experiment.cmd_train(cfg, root, args.out)
+        ckpt = experiment.cmd_train(cfg, args.dataset, args.out)
         print(f"saved {ckpt}")
         return 0
 
     if args.command == "embed":
         cfg = experiment.load_config(args.config, overrides)
-        root = _require_dataset(args.dataset)
         checkpoint = None
         if args.source == "embeddings":
             if args.checkpoint is None:
                 raise ConfigError("checkpoint", "required when --source embeddings")
             checkpoint = _require_file(args.checkpoint, "checkpoint")
-        features = experiment.cmd_embed(cfg, root, checkpoint, args.out,
+        features = experiment.cmd_embed(cfg, args.dataset, checkpoint, args.out,
                                         source=args.source, batch_size=args.batch_size)
         print(f"wrote {features.shape[0]}x{features.shape[1]} features to {args.out}")
         return 0
@@ -177,7 +168,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "eval.forest.n_trees", args.trees)
         cfg = experiment.load_config(args.config, overrides)
         result = experiment.cmd_fit(cfg, _require_file(args.features, "features"),
-                                    _require_dataset(args.dataset), args.out)
+                                    args.dataset, args.out)
         for name in result["targets"]:
             print(f"{name}: test MAE {result['test_mae'][name]:.4f}")
         return 0
@@ -187,7 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "eval.forest.n_trees", args.trees)
         cfg = experiment.load_config(args.config, overrides)
         report = experiment.cmd_evaluate(cfg, _require_file(args.features, "features"),
-                                         _require_dataset(args.dataset), args.out)
+                                         args.dataset, args.out)
         print(report.render_text())
         return 0
 

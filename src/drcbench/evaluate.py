@@ -14,13 +14,13 @@ epsilon-guarded so silent or constant clips produce finite numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioClip, DB_FLOOR
-from .errors import DataError, ProtocolError
+from .errors import DataError, DomainError, ProtocolError
 from .forest import Forest, ForestConfig
 from .spectrogram import GAMMA, stft_magnitude
 
@@ -129,6 +129,12 @@ class EvalConfig:
     seed: int = 0
     forest: ForestConfig = field(default_factory=ForestConfig)
 
+    def __post_init__(self):
+        if self.n_splits < 1:
+            raise DomainError(f"n_splits must be >= 1, got {self.n_splits}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise DomainError(f"test_fraction {self.test_fraction} outside (0, 1)")
+
 
 @dataclass
 class EvalReport:
@@ -199,6 +205,20 @@ def grouped_split(groups: list[str], test_fraction: float, rng: np.random.Genera
     return ~test_mask, test_mask
 
 
+def fit_split(X: np.ndarray, Y: np.ndarray, loop_ids: list[str],
+              target_names: tuple[str, ...], config: EvalConfig,
+              s: int) -> tuple[Forest, np.ndarray, np.ndarray]:
+    """Split ``s`` of the protocol: its grouped split and the forest fit on its train side.
+
+    Returns (forest, train mask, test mask).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, s]))
+    train_mask, test_mask = grouped_split(loop_ids, config.test_fraction, rng, config.min_groups)
+    forest_cfg = replace(config.forest, seed=config.forest.seed + s)
+    forest = Forest(forest_cfg, target_names).fit(X[train_mask], Y[train_mask])
+    return forest, train_mask, test_mask
+
+
 def evaluate(X: np.ndarray, Y: np.ndarray, loop_ids: list[str],
              target_names: tuple[str, ...], family: str, feature_source: str,
              config: EvalConfig | None = None) -> EvalReport:
@@ -217,20 +237,8 @@ def evaluate(X: np.ndarray, Y: np.ndarray, loop_ids: list[str],
 
     per_split = np.zeros((config.n_splits, len(target_names)))
     for s in range(config.n_splits):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, s]))
-        train_mask, test_mask = grouped_split(loop_ids, config.test_fraction, rng,
-                                              config.min_groups)
-        forest_cfg = ForestConfig(
-            n_trees=config.forest.n_trees,
-            max_depth=config.forest.max_depth,
-            min_samples_leaf=config.forest.min_samples_leaf,
-            features_per_split=config.forest.features_per_split,
-            bootstrap=config.forest.bootstrap,
-            seed=config.forest.seed + s,
-        )
-        forest = Forest(forest_cfg, target_names).fit(X[train_mask], Y[train_mask])
-        pred = forest.predict(X[test_mask])
-        per_split[s] = np.mean(np.abs(pred - Y[test_mask]), axis=0)
+        forest, _, test_mask = fit_split(X, Y, loop_ids, target_names, config, s)
+        per_split[s] = np.mean(np.abs(forest.predict(X[test_mask]) - Y[test_mask]), axis=0)
 
     mean_mae = per_split.mean(axis=0)
     mae = {n: float(v) for n, v in zip(target_names, mean_mae)}
@@ -246,12 +254,5 @@ def evaluate(X: np.ndarray, Y: np.ndarray, loop_ids: list[str],
         n_loops=len(set(loop_ids)),
         test_fraction=config.test_fraction,
         seed=config.seed,
-        forest={
-            "n_trees": config.forest.n_trees,
-            "max_depth": config.forest.max_depth,
-            "min_samples_leaf": config.forest.min_samples_leaf,
-            "features_per_split": config.forest.features_per_split,
-            "bootstrap": config.forest.bootstrap,
-            "seed": config.forest.seed,
-        },
+        forest=asdict(config.forest),
     )

@@ -8,6 +8,7 @@ re-created from the artifacts alone.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -31,6 +32,7 @@ from .evaluate import (
     EvalReport,
     baseline_features,
     evaluate,
+    fit_split,
 )
 from .forest import ForestConfig
 from .models import (
@@ -150,17 +152,15 @@ def write_resolved_config(cfg: dict, out_dir: str | Path) -> None:
     )
 
 
+@contextlib.contextmanager
 def _wrap_section(section: str):
     """Re-raise value errors from dataclass validation as config errors."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, (ValueError, TypeError)) \
-                    and not isinstance(exc, ConfigError):
-                raise ConfigError(section, str(exc)) from exc
-            return False
-    return _Ctx()
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(section, str(exc)) from exc
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
@@ -302,9 +302,28 @@ def normalized_labels(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, 
 # train / embed / evaluate
 
 
+def _load_manifest(dataset_dir: str | Path) -> DatasetManifest:
+    root = Path(dataset_dir)
+    if not (root / "manifest.json").exists():
+        raise ConfigError("dataset", f"no manifest.json under {root}")
+    return DatasetManifest.load(root / "manifest.json")
+
+
+def _load_features(path: str | Path, manifest: DatasetManifest) -> np.ndarray:
+    """A feature matrix with one row per manifest entry, as float64."""
+    features, scale = read_matrix(path)
+    if scale != SCALE_FEATURES:
+        raise DataError(f"{path}: not a feature matrix (scale enum {scale})")
+    if features.shape[0] != len(manifest.entries):
+        raise DataError(
+            f"feature rows ({features.shape[0]}) != manifest entries ({len(manifest.entries)})"
+        )
+    return features.astype(np.float64)
+
+
 def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
     root = Path(dataset_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
+    manifest = _load_manifest(root)
     rep = resolve_representation(cfg, cfg["model"]["variant"])
     x_a, x_b = load_pair_arrays(root, manifest, rep)
     y, ranges = normalized_labels(manifest)
@@ -333,7 +352,7 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
               batch_size: int = 8) -> np.ndarray:
     """Write per-entry feature rows: model merge embeddings or the baseline stats."""
     root = Path(dataset_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
+    manifest = _load_manifest(root)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -379,15 +398,8 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
 
 def cmd_evaluate(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
                  out_base: str | Path, feature_source: str | None = None) -> EvalReport:
-    root = Path(dataset_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
-    features, scale = read_matrix(features_path)
-    if scale != SCALE_FEATURES:
-        raise DataError(f"{features_path}: not a feature matrix (scale enum {scale})")
-    if features.shape[0] != len(manifest.entries):
-        raise DataError(
-            f"feature rows ({features.shape[0]}) != manifest entries ({len(manifest.entries)})"
-        )
+    manifest = _load_manifest(dataset_dir)
+    features = _load_features(features_path, manifest)
     if feature_source is None:
         meta_path = Path(features_path).with_suffix(".json")
         feature_source = "features"
@@ -395,7 +407,7 @@ def cmd_evaluate(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
             feature_source = json.loads(meta_path.read_text()).get("feature_source", "features")
 
     report = evaluate(
-        features.astype(np.float64), manifest.label_matrix(), manifest.loop_ids(),
+        features, manifest.label_matrix(), manifest.loop_ids(),
         manifest.grid.varying, manifest.family, feature_source, eval_config_from(cfg),
     )
     out_base = Path(out_base)
@@ -407,32 +419,23 @@ def cmd_evaluate(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
 
 def cmd_fit(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
             out_base: str | Path) -> dict:
-    """Single grouped 80/20 split: fit one forest, report train/test MAE."""
-    root = Path(dataset_dir)
-    manifest = DatasetManifest.load(root / "manifest.json")
-    features, scale = read_matrix(features_path)
-    if scale != SCALE_FEATURES:
-        raise DataError(f"{features_path}: not a feature matrix (scale enum {scale})")
-    eval_cfg = eval_config_from(cfg)
-
-    from .evaluate import grouped_split
-    from .forest import Forest
-
-    rng = np.random.default_rng(np.random.SeedSequence([eval_cfg.seed, 0]))
-    train_mask, test_mask = grouped_split(manifest.loop_ids(), eval_cfg.test_fraction,
-                                          rng, eval_cfg.min_groups)
-    X = features.astype(np.float64)
+    """Split 0 of the ``evaluate`` protocol: fit its forest, report train/test MAE."""
+    manifest = _load_manifest(dataset_dir)
+    X = _load_features(features_path, manifest)
     Y = manifest.label_matrix()
-    forest = Forest(eval_cfg.forest, manifest.grid.varying).fit(X[train_mask], Y[train_mask])
+    targets = manifest.grid.varying
+    forest, train_mask, test_mask = fit_split(X, Y, manifest.loop_ids(), targets,
+                                              eval_config_from(cfg), 0)
+
+    def mae(mask: np.ndarray) -> dict[str, float]:
+        return dict(zip(targets, np.mean(np.abs(forest.predict(X[mask]) - Y[mask]),
+                                         axis=0).tolist()))
+
     result = {
         "family": manifest.family,
-        "targets": list(manifest.grid.varying),
-        "train_mae": dict(zip(manifest.grid.varying,
-                              np.mean(np.abs(forest.predict(X[train_mask]) - Y[train_mask]),
-                                      axis=0).tolist())),
-        "test_mae": dict(zip(manifest.grid.varying,
-                             np.mean(np.abs(forest.predict(X[test_mask]) - Y[test_mask]),
-                                     axis=0).tolist())),
+        "targets": list(targets),
+        "train_mae": mae(train_mask),
+        "test_mae": mae(test_mask),
         "n_train": int(train_mask.sum()),
         "n_test": int(test_mask.sum()),
     }
@@ -542,28 +545,16 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
     axis_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "four-param":
-        sub_cfg = json.loads(json.dumps(cfg))
-        sub_cfg["dataset"]["family"] = "D4P"
-        ds_dir = out_dir / "datasets" / "D4P"
-        if not (ds_dir / "manifest.json").exists():
-            cmd_generate(sub_cfg, ds_dir)
-        manifest = DatasetManifest.load(ds_dir / "manifest.json")
-
-        cell_dir = axis_dir / "model"
-        ckpt = cmd_train(sub_cfg, ds_dir, cell_dir)
-        emb_path = cell_dir / "features.spec"
-        cmd_embed(sub_cfg, ds_dir, ckpt, emb_path)
+        # the cells' config.resolved.json name the family they ran on
+        d4p_cfg = {**cfg, "dataset": {**cfg["dataset"], "family": "D4P"}}
+        ds_dir = _sweep_dataset(d4p_cfg, "D4P", out_dir)
+        mae_emb = _run_cell(d4p_cfg, ds_dir, axis_dir / "model", cfg["representation"], {})
         base_path = axis_dir / "baseline" / "features.spec"
-        cmd_embed(sub_cfg, ds_dir, None, base_path, source="baseline")
-        rep_base = cmd_evaluate(sub_cfg, base_path, ds_dir, axis_dir / "baseline" / "report")
-        rep_emb = cmd_evaluate(sub_cfg, emb_path, ds_dir, cell_dir / "report")
-
-        rows = list(manifest.grid.varying)
-        values = [[rep_base.mae[p], rep_emb.mae[p]] for p in rows]
-        annotations = _annotate_direction(rows, values, "last_not_worse")
-        text, csv_body = render_table(
-            "four-parameter estimation MAE (baseline features vs. embeddings)",
-            rows, ["baseline", "embeddings"], values, annotations)
+        cmd_embed(d4p_cfg, ds_dir, None, base_path, source="baseline")
+        mae_base = cmd_evaluate(d4p_cfg, base_path, ds_dir, axis_dir / "baseline" / "report").mae
+        row_labels = list(mae_emb)
+        col_labels = ["baseline", "embeddings"]
+        values = [[mae_base[p], mae_emb[p]] for p in row_labels]
     else:
         columns = _axis_columns(axis)
         row_specs: list[tuple[str, str]] = []
@@ -582,15 +573,18 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
                     if fam == family:
                         values[ri][ci] = mae[param]
         row_labels = [f"{fam} {param}" for fam, param in row_specs]
-        expectation = "last_not_worse" if axis == "representation" else "monotone_decrease"
-        annotations = _annotate_direction(row_labels, values, expectation)
-        titles = {
-            "representation": "input representation sweep (MAE per parameter)",
-            "frame-size": "analysis frame size sweep (MAE per parameter)",
-            "kernel-shape": "convolution kernel shape sweep (MAE per parameter)",
-        }
-        text, csv_body = render_table(titles[axis], row_labels,
-                                      [c[0] for c in columns], values, annotations)
+        col_labels = [c[0] for c in columns]
+
+    titles = {
+        "representation": "input representation sweep (MAE per parameter)",
+        "frame-size": "analysis frame size sweep (MAE per parameter)",
+        "kernel-shape": "convolution kernel shape sweep (MAE per parameter)",
+        "four-param": "four-parameter estimation MAE (baseline features vs. embeddings)",
+    }
+    expectation = "last_not_worse" if axis in ("representation", "four-param") \
+        else "monotone_decrease"
+    annotations = _annotate_direction(row_labels, values, expectation)
+    text, csv_body = render_table(titles[axis], row_labels, col_labels, values, annotations)
 
     (axis_dir / "table.txt").write_text(text)
     (axis_dir / "table.csv").write_text(csv_body)

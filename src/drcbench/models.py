@@ -102,6 +102,10 @@ class ModelSpec:
             raise DomainError(f"num_para must be >= 1, got {self.num_para}")
         if not 0 < self.width <= 4:
             raise DomainError(f"width multiplier {self.width} outside (0, 4]")
+        if self.embedding_dim < 1:
+            raise DomainError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise DomainError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 
     def block_kernels(self) -> tuple[tuple[int, int], ...]:
         if self.kernels is not None:
@@ -416,8 +420,11 @@ class SiameseModel:
                     f"expected {p.shape}")
             p.data = arrays[name].astype(self.dtype)
         for name, st in self.branch.states.items():
-            st.running_mean = arrays[f"{name}.running_mean"].astype(self.dtype)
-            st.running_var = arrays[f"{name}.running_var"].astype(self.dtype)
+            for attr in ("running_mean", "running_var"):
+                key = f"{name}.{attr}"
+                if key not in arrays:
+                    raise DomainError(f"checkpoint missing buffer {key!r}")
+                setattr(st, attr, arrays[key].astype(self.dtype))
 
 
 @dataclass

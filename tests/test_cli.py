@@ -7,7 +7,7 @@ import pytest
 from drcbench import experiment
 from drcbench.cli import main
 from drcbench.errors import ConfigError, NumericError
-from drcbench.spectrogram import read_matrix
+from drcbench.spectrogram import SCALE_FEATURES, read_matrix, write_matrix
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,35 @@ def test_evaluate_and_fit(run_dir, dataset_dir, capsys):
     assert fit_doc["n_train"] + fit_doc["n_test"] == 15
 
 
+def test_fit_is_split_zero_of_evaluate(run_dir, dataset_dir):
+    common = ["--features", str(run_dir / "features.spec"), "--dataset", str(dataset_dir),
+              "--trees", "4"]
+    assert main(["fit", *common, "--out", str(run_dir / "fit0")]) == 0
+    assert main(["evaluate", *common, "--out", str(run_dir / "split0"), "--splits", "1"]) == 0
+    fit_doc = json.loads((run_dir / "fit0.json").read_text())
+    report = json.loads((run_dir / "split0.json").read_text())
+    assert fit_doc["test_mae"] == report["mae"]
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_mismatched_feature_rows_exit_2(tmp_path, dataset_dir, command, capsys):
+    features = tmp_path / "short.spec"
+    write_matrix(features, np.zeros((7, 4), dtype=np.float32), SCALE_FEATURES)
+    rc = main([command, "--features", str(features), "--dataset", str(dataset_dir),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "feature rows (7) != manifest entries (15)" in err
+
+
+def test_zero_splits_exit_2(run_dir, dataset_dir, capsys):
+    rc = main(["evaluate", "--features", str(run_dir / "features.spec"),
+               "--dataset", str(dataset_dir), "--out", str(run_dir / "none"), "--splits", "0"])
+    assert rc == 2
+    assert "eval: n_splits must be >= 1" in capsys.readouterr().err
+    assert not (run_dir / "none.json").exists()
+
+
 def test_missing_features_exit_2(dataset_dir, capsys):
     rc = main(["evaluate", "--features", "missing.spec",
                "--dataset", str(dataset_dir), "--out", "x"])
@@ -174,6 +203,29 @@ def test_reproduce_table_representation_axis(tmp_path, capsys):
     assert row[0] == "DS3 attack_ms"
     assert all(float(v) >= 0 for v in row[1:])
     assert (out / "representation" / "config.resolved.json").exists()
+
+
+def test_reproduce_table_four_param_axis(tmp_path):
+    cfg = tmp_path / "toy.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"duration_s": 0.4, "tempo_bpm": 150.0},
+        "eval": {"min_groups": 2},
+    }))
+    out = tmp_path / "sweep"
+    rc = main([
+        "reproduce-table", "--axis", "four-param", "--out", str(out), "--config", str(cfg),
+        "--loops", "2", "--epochs", "1", "--splits", "1", "--trees", "2",
+    ])
+    assert rc == 0
+    table = (out / "four-param" / "table.txt").read_text()
+    assert table.startswith("four-parameter estimation MAE")
+    csv_lines = (out / "four-param" / "table.csv").read_text().strip().splitlines()
+    assert csv_lines[0] == "row,baseline,embeddings"
+    rows = [line.split(",") for line in csv_lines[1:]]
+    assert [row[0] for row in rows] == ["thd_db", "ratio", "attack_ms", "release_ms"]
+    assert all(float(v) >= 0 for row in rows for v in row[1:])
+    manifest = json.loads((out / "datasets" / "D4P" / "manifest.json").read_text())
+    assert len(manifest["entries"]) == 2 * 625
 
 
 # -- experiment-layer helpers ----------------------------------------------------

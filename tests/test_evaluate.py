@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drcbench.audio import AudioClip
-from drcbench.errors import ProtocolError
+from drcbench.errors import DomainError, ProtocolError
 from drcbench.evaluate import (
     EvalConfig,
     baseline_feature_names,
@@ -183,6 +183,18 @@ def test_evaluate_is_seed_deterministic():
     a = evaluate(X, y, groups, ("attack_ms",), "DS3", "t", _eval_cfg(3))
     b = evaluate(X, y, groups, ("attack_ms",), "DS3", "t", _eval_cfg(3))
     assert a.mae == b.mae
+
+
+@pytest.mark.parametrize("n_splits", [0, -1])
+def test_eval_config_rejects_no_splits(n_splits):
+    with pytest.raises(DomainError, match="n_splits"):
+        EvalConfig(n_splits=n_splits)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+def test_eval_config_rejects_test_fraction_outside_open_unit_interval(fraction):
+    with pytest.raises(DomainError, match="test_fraction"):
+        EvalConfig(test_fraction=fraction)
 
 
 def test_evaluate_rejects_too_few_loops():

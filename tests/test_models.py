@@ -44,6 +44,17 @@ def test_spec_validation():
         ModelSpec(variant="model1_mel", num_para=1, width=5.0)
 
 
+@pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+def test_spec_rejects_dropout_rate_outside_unit_interval(rate):
+    with pytest.raises(DomainError, match="dropout_rate"):
+        ModelSpec(variant="model1_mel", num_para=1, dropout_rate=rate)
+
+
+def test_spec_rejects_empty_embedding():
+    with pytest.raises(DomainError, match="embedding_dim"):
+        ModelSpec(variant="model1_mel", num_para=1, embedding_dim=0)
+
+
 def test_tuned_kernels_default():
     spec = ModelSpec(variant="model1_spec_tuned", num_para=1)
     assert spec.block_kernels() == ((3, 3), (3, 3), (3, 3), (1, 3), (1, 3))
@@ -232,3 +243,11 @@ def test_load_rejects_mismatched_arrays(tmp_path):
         other.load_state_arrays(
             {k: v for k, v in model.state_arrays().items()}
         )
+
+
+def test_load_rejects_missing_batchnorm_buffer():
+    model = _small_model(variant="model2_waveform", shape=(16000,))
+    arrays = model.state_arrays()
+    del arrays["back.bn1.running_mean"]
+    with pytest.raises(DomainError, match="missing buffer 'back.bn1.running_mean'"):
+        model.load_state_arrays(arrays)
