@@ -120,6 +120,14 @@ def _require_file(path: str | Path, field: str) -> Path:
     return path
 
 
+def _load_config(args: argparse.Namespace, overrides: dict) -> dict:
+    cfg = experiment.load_config(args.config, overrides)
+    if cfg["strict_deterministic"] and cfg["jobs"] != 1:
+        print(f"warning: strict_deterministic runs on one worker, ignoring jobs={cfg['jobs']} "
+              "(pass --no-strict to use them)", file=sys.stderr)
+    return cfg
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     overrides = _common_overrides(args)
 
@@ -131,7 +139,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "dataset.duration_s", args.duration)
         _set(overrides, "dataset.tempo_bpm", args.tempo)
         _set(overrides, "dataset.loops_dir", args.loops_dir)
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         manifest = experiment.cmd_generate(cfg, args.out)
         print(f"wrote {len(manifest.entries)} entries for "
               f"{len(manifest.loops)} loops under {args.out}")
@@ -147,13 +155,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "representation.kind", args.representation)
         _set(overrides, "representation.frame_len", args.frame_len)
         _set(overrides, "representation.n_mels", args.n_mels)
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         ckpt = experiment.cmd_train(cfg, args.dataset, args.out)
         print(f"saved {ckpt}")
         return 0
 
     if args.command == "embed":
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         checkpoint = None
         if args.source == "embeddings":
             if args.checkpoint is None:
@@ -166,7 +174,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "fit":
         _set(overrides, "eval.forest.n_trees", args.trees)
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         result = experiment.cmd_fit(cfg, _require_file(args.features, "features"),
                                     args.dataset, args.out)
         for name in result["targets"]:
@@ -176,7 +184,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "evaluate":
         _set(overrides, "eval.n_splits", args.splits)
         _set(overrides, "eval.forest.n_trees", args.trees)
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         report = experiment.cmd_evaluate(cfg, _require_file(args.features, "features"),
                                          args.dataset, args.out)
         print(report.render_text())
@@ -189,7 +197,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _set(overrides, "train.max_epochs", args.epochs)
         _set(overrides, "eval.n_splits", args.splits)
         _set(overrides, "eval.forest.n_trees", args.trees)
-        cfg = experiment.load_config(args.config, overrides)
+        cfg = _load_config(args, overrides)
         table = experiment.reproduce_table(cfg, args.axis, args.out)
         print(table.read_text())
         return 0

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip
+from .autodiff.tensor import check_finite
 from .dataset import (
     DatasetManifest,
     FAMILIES,
@@ -249,43 +250,55 @@ def _cache_dir(root: Path, rep: dict) -> Path:
 
 def _clip_representation(clip: AudioClip, rep: dict) -> np.ndarray:
     if rep["kind"] == "waveform":
-        return clip.samples.astype(np.float32)[:, None].T  # (1, samples) row matrix
+        return clip.samples.astype(np.float32)
     spec = transform(clip, "mel" if rep["kind"] == "mel" else "spectrogram",
                      frame_len=int(rep["frame_len"]), hop_len=rep.get("hop_len"),
                      n_mels=int(rep.get("n_mels", 128)))
     return spec.values.astype(np.float32)
 
 
-def _load_representation(root: Path, wav_rel: str, rep: dict, cache: dict) -> np.ndarray:
-    if wav_rel in cache:
-        return cache[wav_rel]
+def _load_representation(root: Path, wav_rel: str, rep: dict) -> np.ndarray:
     if rep["kind"] == "waveform":
-        values = _clip_representation(read_wav(root / wav_rel), rep)
-    else:
-        cache_path = _cache_dir(root, rep) / (wav_rel + ".spec")
-        if cache_path.exists():
-            values, _ = read_matrix(cache_path)
-        else:
-            values = _clip_representation(read_wav(root / wav_rel), rep)
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            write_matrix(cache_path, values, 1 if rep["kind"] == "mel" else 0)
-    cache[wav_rel] = values
+        return _clip_representation(read_wav(root / wav_rel), rep)
+    cache_path = _cache_dir(root, rep) / (wav_rel + ".spec")
+    if cache_path.exists():
+        values, _ = read_matrix(cache_path)
+        return values
+    values = _clip_representation(read_wav(root / wav_rel), rep)
+    cache_path.parent.mkdir(parents=True, exist_ok=True)
+    write_matrix(cache_path, values, 1 if rep["kind"] == "mel" else 0)
     return values
+
+
+def load_clip_arrays(root: str | Path, manifest: DatasetManifest,
+                     rep: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each WAV's representation once, plus every entry's row in it.
+
+    Returns ``(clips, a_idx, b_idx)``: ``clips`` stacks the unique WAVs in
+    order of first appearance (manifest order, unprocessed before processed),
+    and entry ``i`` pairs ``clips[a_idx[i]]`` (unprocessed) with
+    ``clips[b_idx[i]]`` (processed).
+    """
+    root = Path(root)
+    row_of: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+
+    def row(wav_rel: str) -> int:
+        if wav_rel not in row_of:
+            row_of[wav_rel] = len(rows)
+            rows.append(_load_representation(root, wav_rel, rep))
+        return row_of[wav_rel]
+
+    pairs = [(row(e.unprocessed), row(e.processed)) for e in manifest.entries]
+    a_idx, b_idx = np.array(pairs, dtype=np.intp).T
+    return np.stack(rows), a_idx, b_idx
 
 
 def load_pair_arrays(root: str | Path, manifest: DatasetManifest,
                      rep: dict) -> tuple[np.ndarray, np.ndarray]:
     """Representation arrays for every manifest entry, in manifest order."""
-    root = Path(root)
-    cache: dict[str, np.ndarray] = {}
-    a_rows, b_rows = [], []
-    for entry in manifest.entries:
-        a_rows.append(_load_representation(root, entry.unprocessed, rep, cache))
-        b_rows.append(_load_representation(root, entry.processed, rep, cache))
-    x_a, x_b = np.stack(a_rows), np.stack(b_rows)
-    if rep["kind"] == "waveform":
-        x_a, x_b = x_a[:, 0, :], x_b[:, 0, :]  # (N, samples)
-    return x_a, x_b
+    clips, a_idx, b_idx = load_clip_arrays(root, manifest, rep)
+    return clips[a_idx], clips[b_idx]
 
 
 def normalized_labels(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
@@ -351,6 +364,8 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
               out_path: str | Path, source: str = "embeddings",
               batch_size: int = 8) -> np.ndarray:
     """Write per-entry feature rows: model merge embeddings or the baseline stats."""
+    if batch_size < 1:
+        raise ConfigError("batch_size", f"must be >= 1, got {batch_size}")
     root = Path(dataset_dir)
     manifest = _load_manifest(root)
     out_path = Path(out_path)
@@ -372,13 +387,12 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         if checkpoint is None:
             raise ConfigError("checkpoint", "embedding extraction needs a trained checkpoint")
         model, sidecar = load_model(checkpoint)
-        rep = sidecar["representation"]
-        x_a, x_b = load_pair_arrays(root, manifest, rep)
-        chunks = [
-            model.embed_pair(x_a[i:i + batch_size], x_b[i:i + batch_size])
-            for i in range(0, len(x_a), batch_size)
-        ]
-        features = np.concatenate(chunks).astype(np.float32)
+        # f(unprocessed) depends only on the loop: run the branch once per WAV
+        clips, a_idx, b_idx = load_clip_arrays(root, manifest, sidecar["representation"])
+        emb = np.concatenate([model.embed(clips[i:i + batch_size])
+                              for i in range(0, len(clips), batch_size)])
+        features = emb[b_idx] - emb[a_idx]
+        check_finite(features, "sub")
         meta_extra = {"checkpoint": str(checkpoint)}
     else:
         raise ConfigError("source", f"expected 'embeddings' or 'baseline', got {source!r}")
@@ -470,14 +484,17 @@ def render_table(title: str, row_labels: list[str], col_labels: list[str],
     return text, "\n".join(csv_lines) + "\n"
 
 
-def _sweep_dataset(cfg: dict, family: str, out_dir: Path) -> Path:
-    """Materialize (or reuse) one family's dataset under the sweep directory."""
+def _sweep_dataset(cfg: dict, family: str, out_dir: Path) -> tuple[dict, Path]:
+    """One family's config, and its dataset materialized (or reused) for the sweep.
+
+    The config names the family, so each cell's ``config.resolved.json``
+    re-creates the cell when fed back through ``--config``.
+    """
+    family_cfg = {**cfg, "dataset": {**cfg["dataset"], "family": family}}
     ds_dir = out_dir / "datasets" / family
     if not (ds_dir / "manifest.json").exists():
-        sub_cfg = json.loads(json.dumps(cfg))
-        sub_cfg["dataset"]["family"] = family
-        cmd_generate(sub_cfg, ds_dir)
-    return ds_dir
+        cmd_generate(family_cfg, ds_dir)
+    return family_cfg, ds_dir
 
 
 def _run_cell(cfg: dict, ds_dir: Path, cell_dir: Path, rep_override: dict,
@@ -545,9 +562,7 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
     axis_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "four-param":
-        # the cells' config.resolved.json name the family they ran on
-        d4p_cfg = {**cfg, "dataset": {**cfg["dataset"], "family": "D4P"}}
-        ds_dir = _sweep_dataset(d4p_cfg, "D4P", out_dir)
+        d4p_cfg, ds_dir = _sweep_dataset(cfg, "D4P", out_dir)
         mae_emb = _run_cell(d4p_cfg, ds_dir, axis_dir / "model", cfg["representation"], {})
         base_path = axis_dir / "baseline" / "features.spec"
         cmd_embed(d4p_cfg, ds_dir, None, base_path, source="baseline")
@@ -566,9 +581,9 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
         values = [[0.0] * len(columns) for _ in row_specs]
         for ci, (col_label, rep_override, model_override) in enumerate(columns):
             for family in cfg["sweep"]["families"]:
-                ds_dir = _sweep_dataset(cfg, family, out_dir)
+                family_cfg, ds_dir = _sweep_dataset(cfg, family, out_dir)
                 cell_dir = axis_dir / col_label.replace("(", "").replace(")", "") / family
-                mae = _run_cell(cfg, ds_dir, cell_dir, rep_override, model_override)
+                mae = _run_cell(family_cfg, ds_dir, cell_dir, rep_override, model_override)
                 for ri, (fam, param) in enumerate(row_specs):
                     if fam == family:
                         values[ri][ci] = mae[param]

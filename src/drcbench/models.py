@@ -389,6 +389,10 @@ class SiameseModel:
                      training: bool) -> Tensor:
         return dense(self.merge(unprocessed, processed, training), *self.head)
 
+    def embed(self, batch: np.ndarray) -> np.ndarray:
+        """Inference-mode branch embeddings ``f(batch)``, shape (N, embedding_dim)."""
+        return self.branch.forward(self._to_tensor(batch), training=False).data.copy()
+
     def embed_pair(self, unprocessed: np.ndarray, processed: np.ndarray) -> np.ndarray:
         """Inference-mode merge embeddings, shape (N, embedding_dim)."""
         return self.merge(unprocessed, processed, training=False).data.copy()

@@ -6,8 +6,17 @@ import pytest
 
 from drcbench import experiment
 from drcbench.cli import main
+from drcbench.dataset import DatasetManifest
 from drcbench.errors import ConfigError, NumericError
+from drcbench.models import (
+    Model1Branch,
+    ModelSpec,
+    SiameseModel,
+    default_representation,
+    save_model,
+)
 from drcbench.spectrogram import SCALE_FEATURES, read_matrix, write_matrix
+from drcbench.wavio import read_wav
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +93,76 @@ def test_embed_baseline(run_dir, dataset_dir):
     assert rc == 0
     features, _ = read_matrix(out)
     assert features.shape == (15, 18)
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_embed_batch_size_below_one_exit_2(run_dir, dataset_dir, tmp_path, batch_size, capsys):
+    out = tmp_path / "features.spec"
+    rc = main(["embed", "--dataset", str(dataset_dir),
+               "--checkpoint", str(run_dir / "checkpoint.drcw"),
+               "--out", str(out), "--batch-size", batch_size])
+    assert rc == 2
+    assert f"batch_size: must be >= 1, got {batch_size}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["model1_spec_tuned", "model2_waveform"])
+def test_embed_matches_embed_pair_oracle(dataset_dir, tmp_path, variant):
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    rep = default_representation(variant)
+    x_a, x_b = experiment.load_pair_arrays(dataset_dir, manifest, rep)
+    model = SiameseModel(ModelSpec(variant=variant, num_para=1, seed=5), x_a.shape[1:])
+    ckpt = tmp_path / "checkpoint.drcw"
+    save_model(ckpt, model, {"attack_ms": (1.0, 99.0)}, rep, 0)
+
+    features = experiment.cmd_embed(experiment.load_config(), dataset_dir, ckpt,
+                                    tmp_path / "features.spec", batch_size=8)
+
+    def oracle(x_a, x_b):
+        return np.concatenate([model.embed_pair(x_a[i:i + 8], x_b[i:i + 8])
+                               for i in range(0, len(x_a), 8)])[:15]
+
+    # BLAS computes the rows of a partial block with other kernels, so the last
+    # bits of a row depend on its batch-mates: 15 entries leave the oracle a
+    # 7-row batch, while the 20 unique clips fill whole blocks. Repeating the
+    # last entry gives the oracle whole batches too.
+    whole = oracle(np.concatenate([x_a, x_a[-1:]]), np.concatenate([x_b, x_b[-1:]]))
+    assert features.dtype == np.float32
+    assert features.tobytes() == whole.tobytes()
+    assert read_matrix(tmp_path / "features.spec")[0].tobytes() == whole.tobytes()
+    np.testing.assert_allclose(features, oracle(x_a, x_b), rtol=1e-5, atol=1e-6)
+
+
+def test_embed_runs_branch_once_per_unique_wav(run_dir, dataset_dir, tmp_path, monkeypatch):
+    rows = []
+    forward = Model1Branch.forward
+
+    def counting_forward(self, x, training):
+        rows.append(x.shape[0])
+        return forward(self, x, training)
+
+    monkeypatch.setattr(Model1Branch, "forward", counting_forward)
+    features = experiment.cmd_embed(experiment.load_config(), dataset_dir,
+                                    run_dir / "checkpoint.drcw", tmp_path / "features.spec")
+    assert sum(rows) == 5 + 15  # each unprocessed loop once, each processed entry once
+    assert features.tobytes() == read_matrix(run_dir / "features.spec")[0].tobytes()
+
+
+def test_embed_non_finite_merge_exit_3(run_dir, dataset_dir, tmp_path, monkeypatch, capsys):
+    big = np.finfo(np.float32).max
+
+    def overflowing_embed(self, batch):
+        # finite embeddings whose processed - unprocessed difference overflows
+        sign = np.where(np.arange(len(batch)) % 2, 1, -1).astype(np.float32)
+        return np.full((len(batch), 50), big, dtype=np.float32) * sign[:, None]
+
+    monkeypatch.setattr(SiameseModel, "embed", overflowing_embed)
+    with np.errstate(over="ignore"):
+        rc = main(["embed", "--dataset", str(dataset_dir),
+                   "--checkpoint", str(run_dir / "checkpoint.drcw"),
+                   "--out", str(tmp_path / "features.spec")])
+    assert rc == 3
+    assert "non-finite values produced by sub" in capsys.readouterr().err
 
 
 def test_evaluate_and_fit(run_dir, dataset_dir, capsys):
@@ -228,6 +307,45 @@ def test_reproduce_table_four_param_axis(tmp_path):
     assert len(manifest["entries"]) == 2 * 625
 
 
+def test_reproduce_table_cells_record_their_family(tmp_path):
+    cfg = tmp_path / "toy.json"
+    cfg.write_text(json.dumps({"dataset": {"duration_s": 1.0}, "eval": {"min_groups": 2}}))
+    out = tmp_path / "sweep"
+    rc = main([
+        "reproduce-table", "--axis", "representation", "--out", str(out), "--config", str(cfg),
+        "--families", "DS3", "--loops", "2", "--settings", "2",
+        "--epochs", "1", "--splits", "1", "--trees", "2",
+    ])
+    assert rc == 0
+    cells = sorted((out / "representation").glob("*/DS3/config.resolved.json"))
+    assert [c.parent.parent.name for c in cells] == ["mel", "spectrogram"]
+    for cell in cells:
+        resolved = json.loads(cell.read_text())
+        assert resolved["dataset"]["family"] == "DS3"
+    top = json.loads((out / "representation" / "config.resolved.json").read_text())
+    assert top["dataset"]["family"] == "DS1"
+
+
+def test_strict_mode_warns_once_when_it_ignores_jobs(tmp_path, dataset_dir, capsys):
+    again = tmp_path / "again"
+    rc = main([
+        "generate", "--out", str(again), "--family", "DS3",
+        "--loops", "5", "--settings", "3", "--duration", "1.0", "--jobs", "3",
+    ])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert "ignoring jobs=3" in err
+    assert (again / "manifest.json").read_bytes() == (dataset_dir / "manifest.json").read_bytes()
+    assert (again / "loops" / "loop001.wav").read_bytes() == \
+        (dataset_dir / "loops" / "loop001.wav").read_bytes()
+
+    rc = main(["embed", "--dataset", str(again), "--out", str(tmp_path / "b.spec"),
+               "--source", "baseline"])
+    assert rc == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 # -- experiment-layer helpers ----------------------------------------------------
 
 
@@ -274,3 +392,21 @@ def test_representation_cache_env_var(dataset_dir, tmp_path, monkeypatch):
     # second load reads back the same arrays from cache
     x_a2, _ = experiment.load_pair_arrays(dataset_dir, manifest, rep)
     np.testing.assert_array_equal(x_a, x_a2)
+
+
+@pytest.mark.parametrize("kind", ["spectrogram", "waveform"])
+def test_load_clip_arrays_stacks_each_wav_once(dataset_dir, tmp_path, monkeypatch, kind):
+    monkeypatch.setenv(experiment.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    rep = {"kind": kind, "frame_len": 128, "hop_len": None}
+    clips, a_idx, b_idx = experiment.load_clip_arrays(dataset_dir, manifest, rep)
+    assert len(clips) == 5 + 15
+    assert (a_idx[0], b_idx[0]) == (0, 1)  # order of first appearance
+    assert len(set(a_idx.tolist())) == 5 and len(set(b_idx.tolist())) == 15
+    x_a, x_b = experiment.load_pair_arrays(dataset_dir, manifest, rep)
+    assert clips[a_idx].shape == x_a.shape and clips[a_idx].tobytes() == x_a.tobytes()
+    assert clips[b_idx].shape == x_b.shape and clips[b_idx].tobytes() == x_b.tobytes()
+    if kind == "waveform":
+        for i, entry in enumerate(manifest.entries):
+            samples = read_wav(dataset_dir / entry.processed).samples.astype(np.float32)
+            assert x_b[i].tobytes() == samples.tobytes()

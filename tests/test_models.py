@@ -95,6 +95,13 @@ def test_embedding_antisymmetry():
     assert np.abs(fwd).max() > 0  # non-degenerate
 
 
+def test_embed_pair_is_difference_of_branch_embeddings():
+    model = _small_model()
+    x_a, x_b = _pair_data(3, (96, 96), seed=6)
+    merged = model.embed_pair(x_a, x_b)
+    assert merged.tobytes() == (model.embed(x_b) - model.embed(x_a)).tobytes()
+
+
 def test_branch_weight_sharing():
     model = _small_model()
     # both forward paths read the same parameter tensors
