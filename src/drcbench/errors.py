@@ -10,7 +10,15 @@ class DrcBenchError(Exception):
 
 
 class DomainError(DrcBenchError, ValueError):
-    """A parameter value lies outside its documented range."""
+    """A parameter value lies outside its documented range.
+
+    ``field``, when given, names the offending parameter, so a config loader
+    can point at its dotted path.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class RecipeError(DrcBenchError, ValueError):

@@ -14,6 +14,7 @@ epsilon-guarded so silent or constant clips produce finite numbers.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -97,9 +98,17 @@ def clip_stats(clip: AudioClip) -> np.ndarray:
 
 def baseline_features(unprocessed: AudioClip, processed: AudioClip) -> np.ndarray:
     """Handcrafted pair features: stats(a), stats(b), stats(b) - stats(a)."""
-    a = clip_stats(unprocessed)
-    b = clip_stats(processed)
-    return np.concatenate([a, b, b - a])
+    return baseline_matrix([unprocessed, processed], [0], [1])[0]
+
+
+def baseline_matrix(clips: Sequence[AudioClip], a_idx, b_idx) -> np.ndarray:
+    """``baseline_features`` of every pair ``(clips[a_idx[i]], clips[b_idx[i]])``.
+
+    The statistics of each clip are computed once, however many pairs share it.
+    """
+    stats = np.stack([clip_stats(clip) for clip in clips])
+    a, b = stats[a_idx], stats[b_idx]
+    return np.concatenate([a, b, b - a], axis=1)
 
 
 def baseline_feature_names() -> list[str]:

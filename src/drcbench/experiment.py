@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from .errors import ConfigError, DataError, DrcBenchError
 from .evaluate import (
     EvalConfig,
     EvalReport,
-    baseline_features,
+    baseline_features,  # unused here; perfbench/tracer.py wraps it under this name
+    baseline_matrix,
     evaluate,
     fit_split,
 )
@@ -161,7 +163,8 @@ def _wrap_section(section: str):
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(section, str(exc)) from exc
+        field = getattr(exc, "field", None)
+        raise ConfigError(f"{section}.{field}" if field else section, str(exc)) from exc
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
@@ -280,18 +283,30 @@ def load_clip_arrays(root: str | Path, manifest: DatasetManifest,
     ``clips[b_idx[i]]`` (processed).
     """
     root = Path(root)
+    rows, a_idx, b_idx = _load_unique_wavs(
+        manifest, lambda wav_rel: _load_representation(root, wav_rel, rep))
+    return np.stack(rows), a_idx, b_idx
+
+
+def _load_unique_wavs(manifest: DatasetManifest,
+                      load: Callable[[str], object]) -> tuple[list, np.ndarray, np.ndarray]:
+    """``load`` each WAV of the manifest once, in order of first appearance.
+
+    Returns ``(items, a_idx, b_idx)``: entry ``i`` pairs ``items[a_idx[i]]``
+    (unprocessed) with ``items[b_idx[i]]`` (processed).
+    """
     row_of: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+    items: list = []
 
     def row(wav_rel: str) -> int:
         if wav_rel not in row_of:
-            row_of[wav_rel] = len(rows)
-            rows.append(_load_representation(root, wav_rel, rep))
+            row_of[wav_rel] = len(items)
+            items.append(load(wav_rel))
         return row_of[wav_rel]
 
     pairs = [(row(e.unprocessed), row(e.processed)) for e in manifest.entries]
     a_idx, b_idx = np.array(pairs, dtype=np.intp).T
-    return np.stack(rows), a_idx, b_idx
+    return items, a_idx, b_idx
 
 
 def load_pair_arrays(root: str | Path, manifest: DatasetManifest,
@@ -372,16 +387,9 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if source == "baseline":
-        clip_cache: dict[str, AudioClip] = {}
-        def clip_for(rel: str) -> AudioClip:
-            if rel not in clip_cache:
-                clip_cache[rel] = read_wav(root / rel)
-            return clip_cache[rel]
-        rows = [
-            baseline_features(clip_for(e.unprocessed), clip_for(e.processed))
-            for e in manifest.entries
-        ]
-        features = np.array(rows, dtype=np.float32)
+        # the stats of an unprocessed loop are shared by all its entries
+        clips, a_idx, b_idx = _load_unique_wavs(manifest, lambda rel: read_wav(root / rel))
+        features = baseline_matrix(clips, a_idx, b_idx).astype(np.float32)
         meta_extra = {"checkpoint": None}
     elif source == "embeddings":
         if checkpoint is None:

@@ -6,6 +6,16 @@ toward the subset size), candidate thresholds sit midway between distinct
 consecutive sorted values, and the split minimizing the summed left/right
 squared error wins. Leaves predict their training mean, so predictions can
 never leave the training target range.
+
+Split search is presorted (Louppe, "Understanding Random Forests", 2014,
+ch. 5): each tree argsorts its columns once, and every node carries its rows
+in each column's sorted order, which a split hands down to the children by
+filtering, so no node sorts again. A node scores every split of every column
+in one 2-D cumulative-sum pass; the features are then taken in the RNG's
+permutation order until ``features_per_split`` productive ones were seen.
+A fitted tree is five flat arrays with one entry per node (``feature``,
+``threshold``, ``left``, ``right``, ``value``), and prediction walks all
+rows through them at once.
 """
 
 from __future__ import annotations
@@ -28,101 +38,123 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise DomainError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_samples_leaf < 1:
-            raise DomainError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1 or None, got {self.max_depth}")
+        for name in ("n_trees", "min_samples_leaf", "max_depth", "features_per_split"):
+            value = getattr(self, name)
+            optional = name in ("max_depth", "features_per_split")
+            if (value is None and optional) or (_is_int(value) and value >= 1):
+                continue
+            bound = "an int >= 1 or None" if optional else "an int >= 1"
+            raise DomainError(f"{name} must be {bound}, got {value!r}", field=name)
+        if not isinstance(self.bootstrap, bool):
+            raise DomainError(f"bootstrap must be true or false, got {self.bootstrap!r}",
+                              field="bootstrap")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise DomainError(f"seed must be an int >= 0, got {self.seed!r}", field="seed")
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = 0.0
-
-
-def _best_split_for_feature(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (sse, threshold) splitting one feature column, or None."""
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    counts = np.arange(min_leaf, n - min_leaf + 1)
-    if counts.size == 0:
-        return None
-    boundary = xs[counts] > xs[counts - 1]
-    if not boundary.any():
-        return None
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    nl = counts[boundary].astype(np.float64)
-    sl, ql = csum[counts[boundary] - 1], csq[counts[boundary] - 1]
-    nr = n - nl
-    sr, qr = csum[-1] - sl, csq[-1] - ql
-    sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
-    j = int(np.argmin(sse))
-    pos = counts[boundary][j]
-    return float(sse[j]), float((xs[pos - 1] + xs[pos]) / 2.0)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class RegressionTree:
-    """Single CART tree over float features and a scalar target."""
+    """Single CART tree over float features and a scalar target.
+
+    After ``fit``, node ``i`` is ``feature[i]``/``threshold[i]`` with children
+    ``left[i]``/``right[i]`` (rows with ``x[feature] <= threshold`` go left);
+    a leaf has ``left[i] == right[i] == -1``. ``value[i]`` is the mean target
+    of the node's training rows.
+    """
 
     def __init__(self, config: ForestConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        self.root: _Node | None = None
+        self.feature = self.left = self.right = np.empty(0, dtype=np.intp)
+        self.threshold = self.value = np.empty(0)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
-        p = X.shape[1]
+        n, p = X.shape
         mtry = self.config.features_per_split or math.ceil(p / 3)
         mtry = min(mtry, p)
         min_leaf = self.config.min_samples_leaf
-        self.root = _Node()
-        stack = [(self.root, np.arange(X.shape[0]), 0)]
+        max_depth = self.config.max_depth
+        XT = np.ascontiguousarray(X.T)
+        col_start = np.arange(p)[:, None] * n  # row r of column f sits at XT.flat[f * n + r]
+        feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+        # a node is (id, rows in increasing order, rows sorted by each column, depth)
+        stack = [(0, np.arange(n), np.argsort(XT, axis=1, kind="stable"), 0)]
         while stack:
-            node, idx, depth = stack.pop()
+            node, idx, order, depth = stack.pop()
             ys = y[idx]
-            node.value = float(ys.mean())
+            m = idx.size
+            value[node] = float(ys.sum() / m)  # ys.mean(), without its call overhead
             if (
-                (self.config.max_depth is not None and depth >= self.config.max_depth)
-                or idx.size < 2 * min_leaf
-                or np.ptp(ys) == 0.0
+                (max_depth is not None and depth >= max_depth)
+                or m < 2 * min_leaf
+                or ys.max() == ys.min()
             ):
                 continue
-            best_sse, best_feature, best_threshold = np.inf, -1, 0.0
+            # every column at once: a split after the first `c` sorted rows,
+            # c = min_leaf .. m - min_leaf, is valid where the value changes
+            xs = XT.ravel()[order + col_start]
+            yo = y[order]
+            boundary = xs[:, min_leaf:m - min_leaf + 1] > xs[:, min_leaf - 1:m - min_leaf]
+            csum = yo.cumsum(axis=1)
+            csq = (yo * yo).cumsum(axis=1)
+            nl = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)
+            sl, ql = csum[:, min_leaf - 1:m - min_leaf], csq[:, min_leaf - 1:m - min_leaf]
+            nr = m - nl
+            sr, qr = csum[:, -1:] - sl, csq[:, -1:] - ql
+            sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+            sse[~boundary] = np.inf
+            best_pos = np.argmin(sse, axis=1)
+            productive_cols = boundary.any(axis=1)
+
+            best_sse, best_feature, best_j = np.inf, -1, 0
             productive = 0
             for f in self.rng.permutation(p):
-                found = _best_split_for_feature(X[idx, f], ys, min_leaf)
-                if found is None:
+                if not productive_cols[f]:
                     continue  # constant column here; does not count toward mtry
                 productive += 1
-                if found[0] < best_sse:
-                    best_sse, best_feature, best_threshold = found[0], int(f), found[1]
+                j = best_pos[f]
+                if sse[f, j] < best_sse:
+                    best_sse, best_feature, best_j = sse[f, j], int(f), j
                 if productive >= mtry:
                     break
             if best_feature < 0:
                 continue
-            node.feature, node.threshold = best_feature, best_threshold
-            go_left = X[idx, best_feature] <= best_threshold
-            node.left, node.right = _Node(), _Node()
-            stack.append((node.left, idx[go_left], depth + 1))
-            stack.append((node.right, idx[~go_left], depth + 1))
+            below, above = xs[best_feature, min_leaf + best_j - 1:min_leaf + best_j + 1]
+            cut = float((below + above) / 2.0)
+            if not cut < above:  # the midpoint of neighbouring floats rounded up (or overflowed)
+                cut = float(below)
+            go_left = XT[best_feature, idx] <= cut
+            go_left_sorted = (XT[best_feature, order] <= cut).ravel()  # the same rows, in `order`
+            n_left = int(go_left.sum())
+            kid = len(feature)
+            feature[node], threshold[node], left[node], right[node] = best_feature, cut, kid, kid + 1
+            for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                                  (value, 0.0)):
+                column += [blank, blank]
+            stack.append((kid, idx[go_left],
+                          np.compress(go_left_sorted, order).reshape(p, n_left), depth + 1))
+            stack.append((kid + 1, idx[~go_left],
+                          np.compress(~go_left_sorted, order).reshape(p, m - n_left), depth + 1))
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while node.left is not None:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            inner = self.left[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[node]
 
 
 class Forest:

@@ -264,6 +264,7 @@ def test_adadelta_first_step_closed_form():
 # 5. overfit smoke test
 
 
+@pytest.mark.slow
 def test_overfit_sixteen_pairs(tmp_path):
     t0 = time.perf_counter()
     cfg = load_config(overrides={
@@ -290,6 +291,7 @@ def test_overfit_sixteen_pairs(tmp_path):
 # 6. learning signal at desk scale
 
 
+@pytest.mark.slow
 def test_threshold_learning_signal_beats_mean_predictor(tmp_path):
     t0 = time.perf_counter()
     cfg = load_config()  # stock desk configuration: DS1, 8 loops x 10 thresholds

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -93,6 +94,31 @@ def test_embed_baseline(run_dir, dataset_dir):
     assert rc == 0
     features, _ = read_matrix(out)
     assert features.shape == (15, 18)
+
+
+def test_embed_baseline_stats_once_per_unique_wav(dataset_dir, tmp_path, monkeypatch):
+    # the package re-exports a function named ``evaluate`` over the submodule
+    evaluate_module = importlib.import_module("drcbench.evaluate")
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    oracle = np.array([
+        evaluate_module.baseline_features(read_wav(dataset_dir / e.unprocessed),
+                                          read_wav(dataset_dir / e.processed))
+        for e in manifest.entries
+    ], dtype=np.float32)
+    calls = []
+    clip_stats = evaluate_module.clip_stats
+
+    def counting_clip_stats(clip):
+        calls.append(clip.samples.tobytes())
+        return clip_stats(clip)
+
+    monkeypatch.setattr(evaluate_module, "clip_stats", counting_clip_stats)
+    features = experiment.cmd_embed(experiment.load_config(), dataset_dir, None,
+                                    tmp_path / "baseline.spec", source="baseline")
+    assert len(calls) == 5 + 15  # each unprocessed loop once, each processed entry once
+    assert len(set(calls)) == len(calls)
+    assert features.dtype == np.float32
+    assert features.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-3"])
@@ -254,6 +280,28 @@ def test_bad_config_value_exit_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("features_per_split", 0),
+    ("features_per_split", -3),
+    ("n_trees", 2.5),
+    ("min_samples_leaf", 1.5),
+    ("max_depth", 2.5),
+    ("bootstrap", "no"),
+])
+def test_bad_forest_config_exit_2(run_dir, dataset_dir, tmp_path, field, value, capsys):
+    cfg = tmp_path / "forest.json"
+    cfg.write_text(json.dumps({"eval": {"forest": {field: value}}}))
+    rc = main(["evaluate", "--config", str(cfg), "--features", str(run_dir / "features.spec"),
+               "--dataset", str(dataset_dir), "--out", str(tmp_path / "report")])
+    assert rc == 2
+    assert f"config error: eval.forest.{field}: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    with pytest.raises(ConfigError) as err:
+        experiment.eval_config_from(
+            experiment.load_config(None, {"eval": {"forest": {field: value}}}))
+    assert err.value.field == f"eval.forest.{field}"
 
 
 def test_numeric_error_exit_3(monkeypatch, dataset_dir, capsys):

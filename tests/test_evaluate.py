@@ -9,6 +9,7 @@ from drcbench.evaluate import (
     EvalConfig,
     baseline_feature_names,
     baseline_features,
+    baseline_matrix,
     clip_stats,
     evaluate,
     grouped_split,
@@ -59,6 +60,15 @@ def test_feature_vector_layout():
     feats = baseline_features(a, b)
     assert feats.shape == (18,)
     np.testing.assert_allclose(feats[12:], feats[6:12] - feats[:6], atol=1e-12)
+
+
+def test_baseline_matrix_rows_match_pair_features():
+    rng = np.random.default_rng(3)
+    clips = [_clip(rng.uniform(-0.5, 0.5, 8000) * g) for g in (1.0, 0.5, 0.25)]
+    a_idx, b_idx = [0, 0, 1, 2], [1, 2, 2, 0]
+    rows = baseline_matrix(clips, a_idx, b_idx)
+    pairs = np.stack([baseline_features(clips[a], clips[b]) for a, b in zip(a_idx, b_idx)])
+    assert rows.tobytes() == pairs.tobytes()
 
 
 def test_identical_clips_have_zero_deltas():
