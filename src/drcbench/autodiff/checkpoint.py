@@ -13,6 +13,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -58,10 +59,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
     while pos < len(raw):
         name_len = struct.unpack("<I", take(4, "name length"))[0]
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"name at byte {pos - name_len}: not UTF-8 ({err.reason})")
         rank = struct.unpack("<I", take(4, f"rank of {name!r}"))[0]
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)  # a Python int: a corrupt dim cannot wrap around
         payload = take(4 * count, f"payload of {name!r}")
         arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return arrays

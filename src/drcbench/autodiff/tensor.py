@@ -23,11 +23,12 @@ def check_finite(data: np.ndarray, where: str) -> None:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, where: str = "tensor creation"):
+        """``where`` names the producer in the ``NumericError`` of non-finite data."""
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        check_finite(arr, "tensor creation")
+        check_finite(arr, where)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -93,8 +94,7 @@ class Tensor:
 
 def result_tensor(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
     """Wrap an op output, wiring requires_grad from its parents."""
-    check_finite(data, op)
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), where=op)
     if out.requires_grad:
         out._parents = parents
     return out

@@ -36,7 +36,7 @@ import numpy as np
 
 from .audio import AudioClip, LoopRecipe, read_clip_sidecar, synthesize_loop, write_clip_sidecar
 from .compressor import PARAM_NAMES, DrcParams, compress
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, FormatError
 from .wavio import read_wav, write_wav
 
 DEFAULT_PARAMS = DrcParams()
@@ -263,7 +263,13 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        return cls.from_json(Path(path).read_text())
+        """Read a manifest; a malformed file raises ``FormatError`` naming it."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except KeyError as err:
+            raise FormatError(f"{path}: missing key {err}") from err
+        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as err:
+            raise FormatError(f"{path}: malformed manifest: {err}") from err
 
     def label_matrix(self) -> np.ndarray:
         """Labels of the varying parameters, shape (n_entries, n_varying)."""

@@ -26,7 +26,7 @@ class RecipeError(DrcBenchError, ValueError):
 
 
 class FormatError(DrcBenchError, ValueError):
-    """A serialized artifact (WAV, cache, checkpoint) is malformed."""
+    """A serialized artifact (WAV, manifest, matrix, checkpoint) is malformed."""
 
 
 class SizeError(DrcBenchError, ValueError):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
-import os
 from collections.abc import Callable
 from pathlib import Path
 
@@ -55,6 +53,7 @@ from .spectrogram import (
 )
 from .wavio import read_wav
 
+# No package code reads this variable; perfbench/workloads.py still sets it.
 CACHE_ENV_VAR = "DRCBENCH_CACHE_DIR"
 
 DEFAULTS: dict = {
@@ -231,24 +230,7 @@ def cmd_generate(cfg: dict, out_dir: str | Path) -> DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# representation loading with a binary cache
-
-
-def _rep_key(rep: dict) -> str:
-    if rep["kind"] == "waveform":
-        return "waveform"
-    parts = [rep["kind"], f"f{rep['frame_len']}", f"h{rep.get('hop_len') or rep['frame_len'] // 2}"]
-    if rep["kind"] == "mel":
-        parts.append(f"m{rep.get('n_mels', 128)}")
-    return "_".join(parts)
-
-
-def _cache_dir(root: Path, rep: dict) -> Path:
-    base = os.environ.get(CACHE_ENV_VAR)
-    if base:
-        tag = hashlib.sha1(str(root.resolve()).encode()).hexdigest()[:10]
-        return Path(base) / tag / _rep_key(rep)
-    return root / ".cache" / _rep_key(rep)
+# representation loading
 
 
 def _clip_representation(clip: AudioClip, rep: dict) -> np.ndarray:
@@ -260,19 +242,6 @@ def _clip_representation(clip: AudioClip, rep: dict) -> np.ndarray:
     return spec.values.astype(np.float32)
 
 
-def _load_representation(root: Path, wav_rel: str, rep: dict) -> np.ndarray:
-    if rep["kind"] == "waveform":
-        return _clip_representation(read_wav(root / wav_rel), rep)
-    cache_path = _cache_dir(root, rep) / (wav_rel + ".spec")
-    if cache_path.exists():
-        values, _ = read_matrix(cache_path)
-        return values
-    values = _clip_representation(read_wav(root / wav_rel), rep)
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    write_matrix(cache_path, values, 1 if rep["kind"] == "mel" else 0)
-    return values
-
-
 def load_clip_arrays(root: str | Path, manifest: DatasetManifest,
                      rep: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each WAV's representation once, plus every entry's row in it.
@@ -280,11 +249,12 @@ def load_clip_arrays(root: str | Path, manifest: DatasetManifest,
     Returns ``(clips, a_idx, b_idx)``: ``clips`` stacks the unique WAVs in
     order of first appearance (manifest order, unprocessed before processed),
     and entry ``i`` pairs ``clips[a_idx[i]]`` (unprocessed) with
-    ``clips[b_idx[i]]`` (processed).
+    ``clips[b_idx[i]]`` (processed). Every call computes the representations
+    from the WAVs, so a dataset regenerated in place is never read stale.
     """
     root = Path(root)
     rows, a_idx, b_idx = _load_unique_wavs(
-        manifest, lambda wav_rel: _load_representation(root, wav_rel, rep))
+        manifest, lambda wav_rel: _clip_representation(read_wav(root / wav_rel), rep))
     return np.stack(rows), a_idx, b_idx
 
 

@@ -6,10 +6,11 @@ Both representations share the same log compression ``log(1 + gamma * m)``
 with ``gamma = 1e4``; the mel filterbank (HTK mel scale, triangular filters,
 unit peak) is applied to the *power* spectrogram before compression.
 
-Matrices can be cached in a small flat binary format: a 16-byte header
-(magic ``SPEC``, u32 rows, u32 cols, u32 scale enum) followed by float32
-row-major little-endian payload. Feature tables reuse the same container
-with their own scale tag.
+Representations are computed from the audio whenever they are needed and
+are not stored. Feature tables are stored in a small flat binary format
+(``.spec``): a 16-byte header (magic ``SPEC``, u32 rows, u32 cols, u32 scale
+enum) followed by float32 row-major little-endian payload; the scale enum
+tags what the matrix holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ GAMMA = 1e4
 
 CACHE_MAGIC = b"SPEC"
 
-#: scale enum for the binary cache header
+#: scale enum in the ``.spec`` header
 SCALE_LINEAR_STFT = 0
 SCALE_MEL = 1
 SCALE_FEATURES = 2
@@ -163,10 +164,10 @@ def transform(clip: AudioClip, representation: str, frame_len: int = 256,
 
 
 def write_matrix(path: str | Path, values: np.ndarray, scale: int) -> None:
-    """Write a 2-D float matrix in the flat binary cache format."""
+    """Write a 2-D float matrix in the flat binary ``.spec`` format."""
     values = np.asarray(values)
     if values.ndim != 2:
-        raise DomainError(f"cache stores 2-D matrices, got shape {values.shape}")
+        raise DomainError(f".spec stores 2-D matrices, got shape {values.shape}")
     if scale not in _SCALE_NAMES:
         raise DomainError(f"unknown scale enum {scale}")
     rows, cols = values.shape
@@ -176,7 +177,7 @@ def write_matrix(path: str | Path, values: np.ndarray, scale: int) -> None:
 
 
 def read_matrix(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a cached matrix; returns (float32 array, scale enum)."""
+    """Read a ``.spec`` matrix; returns (float32 array, scale enum)."""
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise FormatError(f"header: expected 16 bytes, file has {len(raw)}")

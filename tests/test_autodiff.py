@@ -307,7 +307,7 @@ def test_backward_needs_scalar():
 
 def test_non_finite_forward_raises():
     big = Tensor(np.array([1e308]), requires_grad=True)
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="produced by add"):
         add(big, big)
 
 

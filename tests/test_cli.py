@@ -313,6 +313,40 @@ def test_numeric_error_exit_3(monkeypatch, dataset_dir, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], "malformed manifest"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_clamped"}),
+     "missing key 'n_clamped'"),
+], ids=["truncated", "no_n_clamped"])
+def test_corrupt_manifest_exit_2(dataset_dir, tmp_path, corrupt, message, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text(corrupt((dataset_dir / "manifest.json").read_text()))
+    rc = main(["embed", "--dataset", str(bad), "--out", str(tmp_path / "b.spec"),
+               "--source", "baseline"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad / "manifest.json") in err and message in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_op_output_exit_3(dataset_dir, tmp_path, capsys):
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    rep = default_representation("model1_spec_tuned")
+    clips, _, _ = experiment.load_clip_arrays(dataset_dir, manifest, rep)
+    model = SiameseModel(ModelSpec(variant="model1_spec_tuned", num_para=1, seed=5),
+                         clips.shape[1:])
+    first_conv = next(p for name, p in model.parameters().items() if name.endswith(".w"))
+    first_conv.data[...] = np.finfo(np.float32).max  # finite weights, overflowing output
+    ckpt = tmp_path / "checkpoint.drcw"
+    save_model(ckpt, model, {"attack_ms": (1.0, 99.0)}, rep, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["embed", "--dataset", str(dataset_dir), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "features.spec")])
+    assert rc == 3
+    assert "non-finite values produced by conv2d" in capsys.readouterr().err
+
+
 def test_reproduce_table_representation_axis(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main([
@@ -427,24 +461,45 @@ def test_normalized_labels_unit_range(dataset_dir):
     assert y.min() == 0.0 and y.max() == 1.0
 
 
-def test_representation_cache_env_var(dataset_dir, tmp_path, monkeypatch):
-    from drcbench.dataset import DatasetManifest
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
+
+def test_train_and_embed_leave_dataset_unchanged(tmp_path, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["generate", "--out", str(ds), "--family", "DS3", "--loops", "3",
+                 "--settings", "2", "--duration", "1.0"]) == 0
+    before = _tree(ds)
+    cfg = experiment.load_config(None, {"train": {"max_epochs": 1, "patience": 1}})
+    monkeypatch.delenv(experiment.CACHE_ENV_VAR, raising=False)
+    ckpt = experiment.cmd_train(cfg, ds, tmp_path / "run")
+    experiment.cmd_embed(cfg, ds, ckpt, tmp_path / "run" / "a.spec")
     cache_root = tmp_path / "cache"
-    monkeypatch.setenv(experiment.CACHE_ENV_VAR, str(cache_root))
-    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    monkeypatch.setenv(experiment.CACHE_ENV_VAR, str(cache_root))  # read by no package code
+    experiment.cmd_embed(cfg, ds, ckpt, tmp_path / "run" / "b.spec")
+    assert _tree(ds) == before
+    assert not cache_root.exists()
+
+
+def test_regenerated_dataset_loads_new_arrays(tmp_path):
+    def generate(out, seed):
+        assert main(["generate", "--out", str(out), "--family", "DS3", "--loops", "2",
+                     "--settings", "2", "--duration", "1.0", "--seed", str(seed)]) == 0
+        return DatasetManifest.load(out / "manifest.json")
+
     rep = {"kind": "spectrogram", "frame_len": 128, "hop_len": None}
-    x_a, x_b = experiment.load_pair_arrays(dataset_dir, manifest, rep)
-    cached = list(cache_root.rglob("*.spec"))
-    assert len(cached) == 5 + 15  # one per unprocessed loop + per processed entry
-    # second load reads back the same arrays from cache
-    x_a2, _ = experiment.load_pair_arrays(dataset_dir, manifest, rep)
-    np.testing.assert_array_equal(x_a, x_a2)
+    reused = tmp_path / "reused"
+    seed0, _, _ = experiment.load_clip_arrays(reused, generate(reused, 0), rep)
+    seed1, _, _ = experiment.load_clip_arrays(reused, generate(reused, 1), rep)
+    fresh = tmp_path / "fresh"
+    oracle, _, _ = experiment.load_clip_arrays(fresh, generate(fresh, 1), rep)
+    assert seed0.tobytes() != oracle.tobytes()
+    assert seed1.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["spectrogram", "waveform"])
-def test_load_clip_arrays_stacks_each_wav_once(dataset_dir, tmp_path, monkeypatch, kind):
-    monkeypatch.setenv(experiment.CACHE_ENV_VAR, str(tmp_path / "cache"))
+def test_load_clip_arrays_stacks_each_wav_once(dataset_dir, kind):
     manifest = DatasetManifest.load(dataset_dir / "manifest.json")
     rep = {"kind": kind, "frame_len": 128, "hop_len": None}
     clips, a_idx, b_idx = experiment.load_clip_arrays(dataset_dir, manifest, rep)
