@@ -19,10 +19,6 @@ def conv_out_len(n: int, k: int, stride: int) -> int:
     return (n - k) // stride + 1
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural
 

@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .spec feature file")
     p.add_argument("--checkpoint", help="trained model (required for embeddings)")
     p.add_argument("--source", choices=("embeddings", "baseline"), default="embeddings")
-    p.add_argument("--batch-size", type=int, default=8)
 
     p = sub.add_parser("fit", help="fit one forest on a single grouped split")
     _add_common(p)
@@ -168,7 +167,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise ConfigError("checkpoint", "required when --source embeddings")
             checkpoint = _require_file(args.checkpoint, "checkpoint")
         features = experiment.cmd_embed(cfg, args.dataset, checkpoint, args.out,
-                                        source=args.source, batch_size=args.batch_size)
+                                        source=args.source)
         print(f"wrote {features.shape[0]}x{features.shape[1]} features to {args.out}")
         return 0
 

@@ -68,9 +68,6 @@ class DrcParams:
             raise DomainError(f"unknown compressor parameter(s): {sorted(unknown)}")
         return cls(**d)
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in PARAM_NAMES], dtype=np.float64)
-
 
 def static_gain_db(level_db: np.ndarray, params: DrcParams) -> np.ndarray:
     """Hard-knee static gain (dB, always <= 0) for detector levels in dB."""

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 Each class marks one failure kind so callers (and the CLI exit-code
-mapping) can react without parsing message text.
+mapping) can react without parsing message text. ``check_int_fields`` is
+the integer-field check the config dataclasses share.
 """
 
 
@@ -19,6 +20,21 @@ class DomainError(DrcBenchError, ValueError):
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(message)
+
+
+def check_int_fields(obj, minimum: dict[str, int], optional: tuple[str, ...] = ()) -> None:
+    """Raise ``DomainError`` naming the first field of ``obj`` that is not an int >= its minimum.
+
+    Bools are not ints here; a field listed in ``optional`` may also be None.
+    """
+    for name, lo in minimum.items():
+        value = getattr(obj, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, int) and not isinstance(value, bool) and value >= lo:
+            continue
+        bound = f"an int >= {lo}" + (" or None" if name in optional else "")
+        raise DomainError(f"{name} must be {bound}, got {value!r}", field=name)
 
 
 class RecipeError(DrcBenchError, ValueError):

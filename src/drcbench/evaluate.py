@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, DB_FLOOR
-from .errors import DataError, DomainError, ProtocolError
+from .errors import DataError, DomainError, ProtocolError, check_int_fields
 from .forest import Forest, ForestConfig
 from .spectrogram import GAMMA, stft_magnitude
 
@@ -139,8 +139,7 @@ class EvalConfig:
     forest: ForestConfig = field(default_factory=ForestConfig)
 
     def __post_init__(self):
-        if self.n_splits < 1:
-            raise DomainError(f"n_splits must be >= 1, got {self.n_splits}")
+        check_int_fields(self, {"n_splits": 1, "min_groups": 1, "seed": 0})
         if not 0.0 < self.test_fraction < 1.0:
             raise DomainError(f"test_fraction {self.test_fraction} outside (0, 1)")
 

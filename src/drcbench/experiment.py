@@ -26,7 +26,7 @@ from .dataset import (
     load_loops_dir,
     materialize,
 )
-from .errors import ConfigError, DataError, DrcBenchError
+from .errors import ConfigError, DataError, DrcBenchError, FormatError
 from .evaluate import (
     EvalConfig,
     EvalReport,
@@ -55,6 +55,10 @@ from .wavio import read_wav
 
 # No package code reads this variable; perfbench/workloads.py still sets it.
 CACHE_ENV_VAR = "DRCBENCH_CACHE_DIR"
+
+#: clips per branch call in ``cmd_embed``. A row's last float bits depend on
+#: the batch it is computed in, so features are reproducible only at a fixed value.
+EMBED_BATCH = 8
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -242,7 +246,7 @@ def _clip_representation(clip: AudioClip, rep: dict) -> np.ndarray:
     return spec.values.astype(np.float32)
 
 
-def load_clip_arrays(root: str | Path, manifest: DatasetManifest,
+def load_pair_arrays(root: str | Path, manifest: DatasetManifest,
                      rep: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each WAV's representation once, plus every entry's row in it.
 
@@ -277,13 +281,6 @@ def _load_unique_wavs(manifest: DatasetManifest,
     pairs = [(row(e.unprocessed), row(e.processed)) for e in manifest.entries]
     a_idx, b_idx = np.array(pairs, dtype=np.intp).T
     return items, a_idx, b_idx
-
-
-def load_pair_arrays(root: str | Path, manifest: DatasetManifest,
-                     rep: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Representation arrays for every manifest entry, in manifest order."""
-    clips, a_idx, b_idx = load_clip_arrays(root, manifest, rep)
-    return clips[a_idx], clips[b_idx]
 
 
 def normalized_labels(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
@@ -323,14 +320,13 @@ def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
     root = Path(dataset_dir)
     manifest = _load_manifest(root)
     rep = resolve_representation(cfg, cfg["model"]["variant"])
-    x_a, x_b = load_pair_arrays(root, manifest, rep)
+    clips, a_idx, b_idx = load_pair_arrays(root, manifest, rep)
     y, ranges = normalized_labels(manifest)
 
-    input_shape = (x_a.shape[1],) if rep["kind"] == "waveform" else x_a.shape[1:]
     spec = model_spec_from(cfg, num_para=len(manifest.grid.varying))
-    model = SiameseModel(spec, input_shape, dtype=np.float32)
+    model = SiameseModel(spec, clips.shape[1:], dtype=np.float32)
     train_cfg = train_config_from(cfg)
-    history = train(model, x_a, x_b, y, train_cfg)
+    history = train(model, clips, a_idx, b_idx, y, train_cfg)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,11 +342,8 @@ def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
 
 
 def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
-              out_path: str | Path, source: str = "embeddings",
-              batch_size: int = 8) -> np.ndarray:
+              out_path: str | Path, source: str = "embeddings") -> np.ndarray:
     """Write per-entry feature rows: model merge embeddings or the baseline stats."""
-    if batch_size < 1:
-        raise ConfigError("batch_size", f"must be >= 1, got {batch_size}")
     root = Path(dataset_dir)
     manifest = _load_manifest(root)
     out_path = Path(out_path)
@@ -366,9 +359,9 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
             raise ConfigError("checkpoint", "embedding extraction needs a trained checkpoint")
         model, sidecar = load_model(checkpoint)
         # f(unprocessed) depends only on the loop: run the branch once per WAV
-        clips, a_idx, b_idx = load_clip_arrays(root, manifest, sidecar["representation"])
-        emb = np.concatenate([model.embed(clips[i:i + batch_size])
-                              for i in range(0, len(clips), batch_size)])
+        clips, a_idx, b_idx = load_pair_arrays(root, manifest, sidecar["representation"])
+        emb = np.concatenate([model.embed(clips[i:i + EMBED_BATCH])
+                              for i in range(0, len(clips), EMBED_BATCH)])
         features = emb[b_idx] - emb[a_idx]
         check_finite(features, "sub")
         meta_extra = {"checkpoint": str(checkpoint)}
@@ -388,15 +381,26 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
     return features
 
 
+def _feature_source(features_path: str | Path) -> str:
+    """The ``feature_source`` that ``embed`` recorded next to a feature matrix."""
+    meta_path = Path(features_path).with_suffix(".json")
+    if not meta_path.exists():
+        return "features"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise FormatError(f"{meta_path}: malformed feature metadata: {err}") from err
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: malformed feature metadata: not a JSON object")
+    return meta.get("feature_source", "features")
+
+
 def cmd_evaluate(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
                  out_base: str | Path, feature_source: str | None = None) -> EvalReport:
     manifest = _load_manifest(dataset_dir)
     features = _load_features(features_path, manifest)
     if feature_source is None:
-        meta_path = Path(features_path).with_suffix(".json")
-        feature_source = "features"
-        if meta_path.exists():
-            feature_source = json.loads(meta_path.read_text()).get("feature_source", "features")
+        feature_source = _feature_source(features_path)
 
     report = evaluate(
         features, manifest.label_matrix(), manifest.loop_ids(),

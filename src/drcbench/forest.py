@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_int_fields
 
 
 @dataclass(frozen=True)
@@ -38,22 +38,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_trees", "min_samples_leaf", "max_depth", "features_per_split"):
-            value = getattr(self, name)
-            optional = name in ("max_depth", "features_per_split")
-            if (value is None and optional) or (_is_int(value) and value >= 1):
-                continue
-            bound = "an int >= 1 or None" if optional else "an int >= 1"
-            raise DomainError(f"{name} must be {bound}, got {value!r}", field=name)
+        check_int_fields(self, {"n_trees": 1, "min_samples_leaf": 1, "max_depth": 1,
+                                "features_per_split": 1, "seed": 0},
+                         optional=("max_depth", "features_per_split"))
         if not isinstance(self.bootstrap, bool):
             raise DomainError(f"bootstrap must be true or false, got {self.bootstrap!r}",
                               field="bootstrap")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise DomainError(f"seed must be an int >= 0, got {self.seed!r}", field="seed")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class RegressionTree:

@@ -60,7 +60,7 @@ from .autodiff import (
     sub,
 )
 from .autodiff.checkpoint import load_checkpoint, save_checkpoint
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, FormatError, NumericError, ShapeError, check_int_fields
 
 VARIANTS = ("model1_mel", "model1_spec_tuned", "model2_waveform", "model3_multikernel")
 
@@ -98,12 +98,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.num_para < 1:
-            raise DomainError(f"num_para must be >= 1, got {self.num_para}")
+        check_int_fields(self, {"num_para": 1, "embedding_dim": 1, "seed": 0})
         if not 0 < self.width <= 4:
             raise DomainError(f"width multiplier {self.width} outside (0, 4]")
-        if self.embedding_dim < 1:
-            raise DomainError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DomainError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 
@@ -124,15 +121,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int_fields(self, {"batch_size": 1, "max_epochs": 1, "patience": 0, "seed": 0})
         if not 0.0 <= self.validation_fraction < 1.0:
             raise DomainError(
                 f"validation_fraction {self.validation_fraction} outside [0, 1)")
-        if self.max_epochs < 1:
-            raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise DomainError(f"patience must be >= 0, got {self.patience}")
 
 
 def _scale(filters: int, width: float) -> int:
@@ -438,16 +430,19 @@ class EpochStats:
     val_mse: float
 
 
-def train(model: SiameseModel, x_unproc: np.ndarray, x_proc: np.ndarray, y: np.ndarray,
-          config: TrainConfig) -> list[EpochStats]:
+def train(model: SiameseModel, clips: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray,
+          y: np.ndarray, config: TrainConfig) -> list[EpochStats]:
     """Train with Adadelta + MSE; early-stops on validation loss.
 
-    ``y`` must already be normalized to [0, 1] per target. The model is left
-    holding the parameters of its best validation epoch.
+    Pair ``i`` is ``clips[a_idx[i]]`` (unprocessed) with ``clips[b_idx[i]]``
+    (processed), so a clip shared by many pairs is held once; each batch
+    gathers its own rows. ``y`` must already be normalized to [0, 1] per
+    target. The model is left holding the parameters of its best validation
+    epoch.
     """
     n = len(y)
-    if not (len(x_unproc) == len(x_proc) == n):
-        raise DomainError(f"pair/label counts differ: {len(x_unproc)}, {len(x_proc)}, {n}")
+    if not (len(a_idx) == len(b_idx) == n):
+        raise DomainError(f"pair/label counts differ: {len(a_idx)}, {len(b_idx)}, {n}")
     if n < 2:
         raise DomainError("need at least 2 training pairs")
     y = np.asarray(y, dtype=model.dtype)
@@ -471,7 +466,7 @@ def train(model: SiameseModel, x_unproc: np.ndarray, x_proc: np.ndarray, y: np.n
         total = 0.0
         for start in range(0, len(idx), config.batch_size):
             sel = idx[start:start + config.batch_size]
-            pred = model.predict(x_unproc[sel], x_proc[sel])
+            pred = model.predict(clips[a_idx[sel]], clips[b_idx[sel]])
             total += float(np.sum((pred - y[sel]) ** 2))
         return total / (len(idx) * y.shape[1])
 
@@ -481,7 +476,7 @@ def train(model: SiameseModel, x_unproc: np.ndarray, x_proc: np.ndarray, y: np.n
         for start in range(0, len(epoch_order), config.batch_size):
             sel = epoch_order[start:start + config.batch_size]
             try:
-                pred = model.forward_pair(x_unproc[sel], x_proc[sel], training=True)
+                pred = model.forward_pair(clips[a_idx[sel]], clips[b_idx[sel]], training=True)
                 loss = mse_loss(pred, y[sel])
                 loss.backward()
                 optimizer.step()
@@ -533,18 +528,29 @@ def save_model(path: str | Path, model: SiameseModel, label_ranges: dict[str, tu
 
 
 def load_model(path: str | Path) -> tuple[SiameseModel, dict]:
-    """Rebuild a model from checkpoint + sidecar; returns (model, sidecar)."""
+    """Rebuild a model from checkpoint + sidecar; returns (model, sidecar).
+
+    A sidecar that is not valid JSON or lacks a key raises ``FormatError``
+    naming it.
+    """
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    spec = ModelSpec(
-        variant=sidecar["variant"],
-        num_para=sidecar["num_para"],
-        width=sidecar["width"],
-        embedding_dim=sidecar["embedding_dim"],
-        dropout_rate=sidecar["dropout_rate"],
-        kernels=tuple(tuple(k) for k in sidecar["kernels"]),
-        seed=sidecar["model_seed"],
-    )
-    model = SiameseModel(spec, tuple(sidecar["input_shape"]), dtype=np.float32)
+    sidecar_path = path.with_suffix(".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        spec = ModelSpec(
+            variant=sidecar["variant"],
+            num_para=sidecar["num_para"],
+            width=sidecar["width"],
+            embedding_dim=sidecar["embedding_dim"],
+            dropout_rate=sidecar["dropout_rate"],
+            kernels=tuple(tuple(k) for k in sidecar["kernels"]),
+            seed=sidecar["model_seed"],
+        )
+        input_shape = tuple(sidecar["input_shape"])
+    except KeyError as err:
+        raise FormatError(f"{sidecar_path}: missing key {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as err:
+        raise FormatError(f"{sidecar_path}: malformed checkpoint sidecar: {err}") from err
+    model = SiameseModel(spec, input_shape, dtype=np.float32)
     model.load_state_arrays(load_checkpoint(path))
     return model, sidecar

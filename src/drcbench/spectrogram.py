@@ -68,10 +68,11 @@ def frame_count(n_samples: int, frame_len: int, hop_len: int) -> int:
     return 1 + (n_samples - frame_len) // hop_len
 
 
-def _frame(x: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
+def _stft_abs(x: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
+    """``|rfft|`` of each Hann-windowed frame, shape (frames, frame_len//2 + 1)."""
     n_frames = frame_count(x.size, frame_len, hop_len)
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len]
-    return frames[:n_frames]
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len][:n_frames]
+    return np.abs(np.fft.rfft(frames * np.hanning(frame_len), axis=1))
 
 
 def _check_frame_args(frame_len: int, hop_len: int | None) -> int:
@@ -89,11 +90,8 @@ def log_compress(m: np.ndarray) -> np.ndarray:
 def stft_magnitude(clip: AudioClip, frame_len: int = 256, hop_len: int | None = None) -> Spectrogram:
     """Log-compressed STFT magnitude spectrogram, shape (frame_len//2+1, frames)."""
     hop = _check_frame_args(frame_len, hop_len)
-    window = np.hanning(frame_len)
-    frames = _frame(clip.samples, frame_len, hop)
-    mags = np.abs(np.fft.rfft(frames * window, axis=1))
     return Spectrogram(
-        values=log_compress(mags).T,
+        values=log_compress(_stft_abs(clip.samples, frame_len, hop)).T,
         sample_rate=clip.sample_rate,
         frame_len=frame_len,
         hop_len=hop,
@@ -140,10 +138,7 @@ def mel_spectrogram(clip: AudioClip, frame_len: int = 256, hop_len: int | None =
     """Log-compressed mel spectrogram, shape (n_mels, frames)."""
     hop = _check_frame_args(frame_len, hop_len)
     fb = mel_filterbank(clip.sample_rate, frame_len, n_mels)
-    window = np.hanning(frame_len)
-    frames = _frame(clip.samples, frame_len, hop)
-    power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
-    mel_power = power @ fb.T
+    mel_power = _stft_abs(clip.samples, frame_len, hop) ** 2 @ fb.T
     return Spectrogram(
         values=log_compress(mel_power).T,
         sample_rate=clip.sample_rate,

@@ -276,10 +276,10 @@ def test_overfit_sixteen_pairs(tmp_path):
     assert len(manifest.entries) == 16
 
     rep = resolve_representation(cfg, cfg["model"]["variant"])
-    x_a, x_b = load_pair_arrays(ds_dir, manifest, rep)
+    clips, a_idx, b_idx = load_pair_arrays(ds_dir, manifest, rep)
     y, _ = normalized_labels(manifest)
-    model = SiameseModel(model_spec_from(cfg, num_para=1), x_a.shape[1:])
-    history = train(model, x_a, x_b, y, train_config_from(cfg))
+    model = SiameseModel(model_spec_from(cfg, num_para=1), clips.shape[1:])
+    history = train(model, clips, a_idx, b_idx, y, train_config_from(cfg))
 
     assert len(history) <= 500
     best = min(stats.train_mse for stats in history)

@@ -51,3 +51,24 @@ def test_workloads_use_only_existing_experiment_names():
     used = set(re.findall(r"\bex\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
     assert "cmd_embed" in used
     assert sorted(n for n in used if not hasattr(experiment, n)) == []
+
+
+def test_tracer_sees_every_representation_load(perfbench, tmp_path):
+    ds = tmp_path / "ds"
+    manifest = experiment.cmd_generate(
+        experiment.load_config(None, {"dataset": {"family": "DS3", "n_loops": 5,
+                                                  "settings_per_file": 3, "duration_s": 1.0}}),
+        ds)
+    assert len(manifest.entries) == 15  # 30 lookups per load, 5 + 15 unique WAVs
+    cfg = experiment.load_config(None, {"train": {"max_epochs": 1, "patience": 1}})
+    tracer = perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        ckpt = experiment.cmd_train(cfg, ds, tmp_path / "run")
+        experiment.cmd_embed(cfg, ds, ckpt, tmp_path / "run" / "features.spec")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    assert tracer.calls["experiment.load_pair_arrays"] == 2  # cmd_train and cmd_embed
+    assert metrics["experiment.rep_cache.hit_ratio"] == pytest.approx(1 / 3)
+    assert metrics["experiment.load_pair_arrays.out_mb"] > 0

@@ -15,6 +15,7 @@ from drcbench.models import (
     SiameseModel,
     default_representation,
     save_model,
+    train,
 )
 from drcbench.spectrogram import SCALE_FEATURES, read_matrix, write_matrix
 from drcbench.wavio import read_wav
@@ -121,14 +122,27 @@ def test_embed_baseline_stats_once_per_unique_wav(dataset_dir, tmp_path, monkeyp
     assert features.tobytes() == oracle.tobytes()
 
 
+def test_embed_has_no_batch_size_flag(run_dir, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "features.spec"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--dataset", str(dataset_dir),
+              "--checkpoint", str(run_dir / "checkpoint.drcw"),
+              "--out", str(out), "--batch-size", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --batch-size 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("batch_size", ["0", "-3"])
 def test_embed_batch_size_below_one_exit_2(run_dir, dataset_dir, tmp_path, batch_size, capsys):
+    # The option is gone, so any batch size, including one below 1, is a usage error.
     out = tmp_path / "features.spec"
-    rc = main(["embed", "--dataset", str(dataset_dir),
-               "--checkpoint", str(run_dir / "checkpoint.drcw"),
-               "--out", str(out), "--batch-size", batch_size])
-    assert rc == 2
-    assert f"batch_size: must be >= 1, got {batch_size}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--dataset", str(dataset_dir),
+              "--checkpoint", str(run_dir / "checkpoint.drcw"),
+              "--out", str(out), "--batch-size", batch_size])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --batch-size" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -136,13 +150,15 @@ def test_embed_batch_size_below_one_exit_2(run_dir, dataset_dir, tmp_path, batch
 def test_embed_matches_embed_pair_oracle(dataset_dir, tmp_path, variant):
     manifest = DatasetManifest.load(dataset_dir / "manifest.json")
     rep = default_representation(variant)
-    x_a, x_b = experiment.load_pair_arrays(dataset_dir, manifest, rep)
+    clips, a_idx, b_idx = experiment.load_pair_arrays(dataset_dir, manifest, rep)
+    x_a, x_b = clips[a_idx], clips[b_idx]
     model = SiameseModel(ModelSpec(variant=variant, num_para=1, seed=5), x_a.shape[1:])
     ckpt = tmp_path / "checkpoint.drcw"
     save_model(ckpt, model, {"attack_ms": (1.0, 99.0)}, rep, 0)
 
     features = experiment.cmd_embed(experiment.load_config(), dataset_dir, ckpt,
-                                    tmp_path / "features.spec", batch_size=8)
+                                    tmp_path / "features.spec")
+    assert experiment.EMBED_BATCH == 8
 
     def oracle(x_a, x_b):
         return np.concatenate([model.embed_pair(x_a[i:i + 8], x_b[i:i + 8])
@@ -240,7 +256,7 @@ def test_zero_splits_exit_2(run_dir, dataset_dir, capsys):
     rc = main(["evaluate", "--features", str(run_dir / "features.spec"),
                "--dataset", str(dataset_dir), "--out", str(run_dir / "none"), "--splits", "0"])
     assert rc == 2
-    assert "eval: n_splits must be >= 1" in capsys.readouterr().err
+    assert "eval.n_splits: n_splits must be an int >= 1, got 0" in capsys.readouterr().err
     assert not (run_dir / "none.json").exists()
 
 
@@ -304,6 +320,32 @@ def test_bad_forest_config_exit_2(run_dir, dataset_dir, tmp_path, field, value, 
     assert err.value.field == f"eval.forest.{field}"
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("train", "batch_size", 2.5),
+    ("train", "seed", -1),
+    ("train", "patience", True),
+    ("model", "seed", -1),
+    ("eval", "n_splits", 2.5),
+    ("eval", "seed", -1),
+])
+def test_bad_int_config_exit_2(run_dir, dataset_dir, tmp_path, section, field, value, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: {field: value}}))
+    if section == "eval":
+        argv = ["evaluate", "--features", str(run_dir / "features.spec")]
+        written = tmp_path / "out.json"
+    else:
+        argv = ["train"]
+        written = tmp_path / "out" / "checkpoint.drcw"
+    rc = main([*argv, "--config", str(cfg), "--dataset", str(dataset_dir),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{field}: {field} must be an int >= " in err
+    assert "Traceback" not in err
+    assert not written.exists()
+
+
 def test_numeric_error_exit_3(monkeypatch, dataset_dir, capsys):
     def boom(cfg, dataset, out):
         raise NumericError("training diverged at epoch 3")
@@ -330,10 +372,45 @@ def test_corrupt_manifest_exit_2(dataset_dir, tmp_path, corrupt, message, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], "malformed checkpoint sidecar"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "input_shape"}),
+     "missing key 'input_shape'"),
+], ids=["truncated", "no_input_shape"])
+def test_corrupt_checkpoint_sidecar_exit_2(run_dir, dataset_dir, tmp_path, corrupt, message,
+                                           capsys):
+    ckpt = tmp_path / "checkpoint.drcw"
+    ckpt.write_bytes((run_dir / "checkpoint.drcw").read_bytes())
+    sidecar = tmp_path / "checkpoint.json"
+    sidecar.write_text(corrupt((run_dir / "checkpoint.json").read_text()))
+    rc = main(["embed", "--dataset", str(dataset_dir), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "features.spec")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "features.spec").exists()
+
+
+def test_corrupt_features_metadata_exit_2(run_dir, dataset_dir, tmp_path, capsys):
+    features = tmp_path / "features.spec"
+    features.write_bytes((run_dir / "features.spec").read_bytes())
+    meta = tmp_path / "features.json"
+    text = (run_dir / "features.json").read_text()
+    meta.write_text(text[: len(text) // 2])
+    rc = main(["evaluate", "--features", str(features), "--dataset", str(dataset_dir),
+               "--out", str(tmp_path / "report"), "--splits", "1", "--trees", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(meta) in err and "malformed feature metadata" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_non_finite_op_output_exit_3(dataset_dir, tmp_path, capsys):
     manifest = DatasetManifest.load(dataset_dir / "manifest.json")
     rep = default_representation("model1_spec_tuned")
-    clips, _, _ = experiment.load_clip_arrays(dataset_dir, manifest, rep)
+    clips, _, _ = experiment.load_pair_arrays(dataset_dir, manifest, rep)
     model = SiameseModel(ModelSpec(variant="model1_spec_tuned", num_para=1, seed=5),
                          clips.shape[1:])
     first_conv = next(p for name, p in model.parameters().items() if name.endswith(".w"))
@@ -490,26 +567,43 @@ def test_regenerated_dataset_loads_new_arrays(tmp_path):
 
     rep = {"kind": "spectrogram", "frame_len": 128, "hop_len": None}
     reused = tmp_path / "reused"
-    seed0, _, _ = experiment.load_clip_arrays(reused, generate(reused, 0), rep)
-    seed1, _, _ = experiment.load_clip_arrays(reused, generate(reused, 1), rep)
+    seed0, _, _ = experiment.load_pair_arrays(reused, generate(reused, 0), rep)
+    seed1, _, _ = experiment.load_pair_arrays(reused, generate(reused, 1), rep)
     fresh = tmp_path / "fresh"
-    oracle, _, _ = experiment.load_clip_arrays(fresh, generate(fresh, 1), rep)
+    oracle, _, _ = experiment.load_pair_arrays(fresh, generate(fresh, 1), rep)
     assert seed0.tobytes() != oracle.tobytes()
     assert seed1.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["spectrogram", "waveform"])
-def test_load_clip_arrays_stacks_each_wav_once(dataset_dir, kind):
+def test_load_pair_arrays_stacks_each_wav_once(dataset_dir, kind):
     manifest = DatasetManifest.load(dataset_dir / "manifest.json")
     rep = {"kind": kind, "frame_len": 128, "hop_len": None}
-    clips, a_idx, b_idx = experiment.load_clip_arrays(dataset_dir, manifest, rep)
+    clips, a_idx, b_idx = experiment.load_pair_arrays(dataset_dir, manifest, rep)
     assert len(clips) == 5 + 15
     assert (a_idx[0], b_idx[0]) == (0, 1)  # order of first appearance
     assert len(set(a_idx.tolist())) == 5 and len(set(b_idx.tolist())) == 15
-    x_a, x_b = experiment.load_pair_arrays(dataset_dir, manifest, rep)
-    assert clips[a_idx].shape == x_a.shape and clips[a_idx].tobytes() == x_a.tobytes()
-    assert clips[b_idx].shape == x_b.shape and clips[b_idx].tobytes() == x_b.tobytes()
     if kind == "waveform":
         for i, entry in enumerate(manifest.entries):
             samples = read_wav(dataset_dir / entry.processed).samples.astype(np.float32)
-            assert x_b[i].tobytes() == samples.tobytes()
+            assert clips[b_idx[i]].tobytes() == samples.tobytes()
+
+
+def test_train_from_unique_clips_matches_per_entry_stacks(dataset_dir, tmp_path):
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    cfg = experiment.load_config(None, {"train": {"max_epochs": 2, "validation_fraction": 0.2}})
+    rep = experiment.resolve_representation(cfg, cfg["model"]["variant"])
+    clips, a_idx, b_idx = experiment.load_pair_arrays(dataset_dir, manifest, rep)
+    y, ranges = experiment.normalized_labels(manifest)
+    n = len(manifest.entries)
+    stacked = np.concatenate([clips[a_idx], clips[b_idx]])  # one copy per entry and side
+    written = []
+    for index in [(clips, a_idx, b_idx), (stacked, np.arange(n), np.arange(n, 2 * n))]:
+        model = SiameseModel(experiment.model_spec_from(cfg, num_para=1), clips.shape[1:])
+        history = train(model, *index, y, experiment.train_config_from(cfg))
+        ckpt = tmp_path / f"run{len(written)}" / "checkpoint.drcw"
+        ckpt.parent.mkdir()
+        save_model(ckpt, model, ranges, rep, 0)
+        written.append((ckpt.read_bytes(), [(h.train_mse, h.val_mse) for h in history]))
+    assert len(clips) < len(stacked)
+    assert written[0] == written[1]

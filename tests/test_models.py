@@ -20,6 +20,12 @@ def _pair_data(n, shape, seed=0, scale=1.0):
     return x_a.astype(np.float32), x_b.astype(np.float32)
 
 
+def _indexed(x_a, x_b):
+    """``(clips, a_idx, b_idx)`` holding each side's rows once, as ``train`` takes them."""
+    n = len(x_a)
+    return np.concatenate([x_a, x_b]), np.arange(n), np.arange(n, 2 * n)
+
+
 def _small_model(num_para=1, variant="model1_mel", shape=(96, 96), width=0.2, **kw):
     spec = ModelSpec(variant=variant, num_para=num_para, width=width, seed=3, **kw)
     return SiameseModel(spec, shape, dtype=np.float32)
@@ -168,7 +174,7 @@ def _train_small(seed=0, max_epochs=3, **cfg_kw):
     y = np.linspace(0.0, 1.0, 12)[:, None]
     cfg = TrainConfig(batch_size=4, validation_fraction=0.25, max_epochs=max_epochs,
                       patience=10, seed=seed, **cfg_kw)
-    history = train(model, x_a, x_b, y, cfg)
+    history = train(model, *_indexed(x_a, x_b), y, cfg)
     return model, history
 
 
@@ -194,7 +200,7 @@ def test_zero_validation_fraction_uses_train_set():
     x_a, x_b = _pair_data(8, (96, 96), seed=8)
     y = np.linspace(0, 1, 8)[:, None]
     cfg = TrainConfig(batch_size=4, validation_fraction=0.0, max_epochs=2, patience=5, seed=0)
-    history = train(model, x_a, x_b, y, cfg)
+    history = train(model, *_indexed(x_a, x_b), y, cfg)
     assert len(history) == 2
 
 
@@ -211,9 +217,9 @@ def test_train_input_validation():
     model = _small_model(num_para=1, shape=(96, 96))
     x_a, x_b = _pair_data(4, (96, 96), seed=9)
     with pytest.raises(DomainError):
-        train(model, x_a, x_b, np.zeros((3, 1)), TrainConfig(max_epochs=1))
+        train(model, *_indexed(x_a, x_b), np.zeros((3, 1)), TrainConfig(max_epochs=1))
     with pytest.raises(ShapeError):
-        train(model, x_a, x_b, np.zeros((4, 2)), TrainConfig(max_epochs=1))
+        train(model, *_indexed(x_a, x_b), np.zeros((4, 2)), TrainConfig(max_epochs=1))
 
 
 def test_early_stopping_restores_best_state(tmp_path):
