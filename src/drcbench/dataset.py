@@ -41,12 +41,6 @@ from .wavio import read_wav, write_wav
 
 DEFAULT_PARAMS = DrcParams()
 
-#: desk-scale generation defaults
-DESK_N_LOOPS = 8
-DESK_SAMPLE_RATE = 16000
-DESK_DURATION_S = 2.0
-DESK_TEMPO_BPM = 120.0
-
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -286,9 +280,8 @@ def loop_id_for(index: int) -> str:
     return f"loop{index:03d}"
 
 
-def generate_loops(n_loops: int, seed: int, sample_rate: int = DESK_SAMPLE_RATE,
-                   duration_s: float = DESK_DURATION_S,
-                   tempo_bpm: float = DESK_TEMPO_BPM) -> list[tuple[LoopRecipe, AudioClip]]:
+def generate_loops(n_loops: int, seed: int, sample_rate: int, duration_s: float,
+                   tempo_bpm: float) -> list[tuple[LoopRecipe, AudioClip]]:
     """Synthesize loops, alternating drum_like / pluck_like kinds."""
     out = []
     for i in range(n_loops):

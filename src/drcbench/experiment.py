@@ -1,14 +1,15 @@
 """End-to-end pipeline steps shared by the command-line entry points.
 
-A single JSON config tree drives everything; unknown keys and bad values
-raise ``ConfigError`` with a dotted field path. Every step writes a
+A single JSON config tree drives everything. ``config.load_config`` (re-exported
+here) checks every leaf of it once against ``config.TABLE``, so the steps read
+values as they are, with no cast, and an unknown key or bad value raises
+``ConfigError`` with a dotted field path. Every step writes a
 ``config.resolved.json`` snapshot next to its outputs so runs can be
 re-created from the artifacts alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 from collections.abc import Callable
@@ -18,6 +19,7 @@ import numpy as np
 
 from .audio import AudioClip
 from .autodiff.tensor import check_finite
+from .config import load_config  # noqa: F401  re-exported; perfbench/workloads.py calls it here
 from .dataset import (
     DatasetManifest,
     FAMILIES,
@@ -26,7 +28,7 @@ from .dataset import (
     load_loops_dir,
     materialize,
 )
-from .errors import ConfigError, DataError, DrcBenchError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .evaluate import (
     EvalConfig,
     EvalReport,
@@ -60,94 +62,9 @@ CACHE_ENV_VAR = "DRCBENCH_CACHE_DIR"
 #: the batch it is computed in, so features are reproducible only at a fixed value.
 EMBED_BATCH = 8
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "jobs": 1,
-    "strict_deterministic": True,
-    "dataset": {
-        "family": "DS1",
-        "n_loops": 8,
-        "settings_per_file": 10,
-        "sample_rate": 16000,
-        "duration_s": 2.0,
-        "tempo_bpm": 120.0,
-        "loops_dir": None,  # use pre-existing WAVs instead of synthesis
-    },
-    # Non-null entries override the model variant's default representation.
-    "representation": {
-        "kind": None,
-        "frame_len": None,
-        "hop_len": None,
-        "n_mels": None,
-    },
-    "model": {
-        "variant": "model1_spec_tuned",
-        "width": 0.5,
-        "embedding_dim": 50,
-        "dropout_rate": 0.1,
-        "kernels": None,
-        "seed": 0,
-    },
-    "train": {
-        "batch_size": 8,
-        "validation_fraction": 0.15,
-        "max_epochs": 150,
-        "patience": 10,
-        "seed": 0,
-    },
-    "eval": {
-        "n_splits": 50,
-        "test_fraction": 0.2,
-        "min_groups": 5,
-        "seed": 0,
-        "forest": {
-            "n_trees": 100,
-            "max_depth": None,
-            "min_samples_leaf": 2,
-            "features_per_split": None,
-            "bootstrap": True,
-            "seed": 0,
-        },
-    },
-    "sweep": {
-        "families": ["DS3", "DS4", "DM2"],
-    },
-}
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(where, "unknown configuration key")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
-    return out
-
-
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
-    """Defaults <- JSON file <- explicit overrides, validating keys."""
-    cfg = DEFAULTS
-    if path is not None:
-        try:
-            loaded = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}")
-        except json.JSONDecodeError as err:
-            raise ConfigError("config", f"invalid JSON: {err}")
-        if not isinstance(loaded, dict):
-            raise ConfigError("config", "top level must be a JSON object")
-        cfg = _merge(cfg, loaded)
-    if overrides:
-        cfg = _merge(cfg, overrides)
-    return cfg
 
 
 def write_resolved_config(cfg: dict, out_dir: str | Path) -> None:
@@ -158,44 +75,21 @@ def write_resolved_config(cfg: dict, out_dir: str | Path) -> None:
     )
 
 
-@contextlib.contextmanager
-def _wrap_section(section: str):
-    """Re-raise value errors from dataclass validation as config errors."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        field = getattr(exc, "field", None)
-        raise ConfigError(f"{section}.{field}" if field else section, str(exc)) from exc
-
-
 def train_config_from(cfg: dict) -> TrainConfig:
-    with _wrap_section("train"):
-        return TrainConfig(**cfg["train"])
+    return TrainConfig(**cfg["train"])
 
 
 def model_spec_from(cfg: dict, num_para: int) -> ModelSpec:
     raw = dict(cfg["model"])
-    kernels = raw.pop("kernels", None)
+    kernels = raw.pop("kernels")
     if kernels is not None:
-        kernels = tuple(tuple(int(v) for v in k) for k in kernels)
-    with _wrap_section("model"):
-        return ModelSpec(num_para=num_para, kernels=kernels, **raw)
+        kernels = tuple(map(tuple, kernels))  # a frozen ModelSpec holds tuples, not lists
+    return ModelSpec(num_para=num_para, kernels=kernels, **raw)
 
 
 def eval_config_from(cfg: dict) -> EvalConfig:
     raw = dict(cfg["eval"])
-    forest_raw = raw.pop("forest")
-    with _wrap_section("eval.forest"):
-        forest = ForestConfig(**forest_raw)
-    with _wrap_section("eval"):
-        return EvalConfig(forest=forest, **raw)
-
-
-def effective_jobs(cfg: dict) -> int:
-    """Strict-deterministic mode keeps everything on one worker."""
-    return 1 if cfg["strict_deterministic"] else max(1, int(cfg["jobs"]))
+    return EvalConfig(forest=ForestConfig(**raw.pop("forest")), **raw)
 
 
 def resolve_representation(cfg: dict, variant: str) -> dict:
@@ -215,20 +109,19 @@ def cmd_generate(cfg: dict, out_dir: str | Path) -> DatasetManifest:
     # Per-file thinning only applies to the single-parameter full grids;
     # offset families fix their own per-file counts.
     settings = ds["settings_per_file"] if ds["family"] in ("DS1", "DS2", "DS3", "DS4") else None
-    with _wrap_section("dataset"):
-        grid = build_grid(ds["family"], int(ds["n_loops"]), int(cfg["seed"]), settings)
-        if ds["loops_dir"]:
-            loops = load_loops_dir(ds["loops_dir"], sample_rate=ds["sample_rate"])
-            if len(loops) < grid.n_loops:
-                raise ConfigError("dataset.loops_dir",
-                                  f"found {len(loops)} loops, need {grid.n_loops}")
-            loops = loops[: grid.n_loops]
-        else:
-            loops = generate_loops(int(ds["n_loops"]), int(cfg["seed"]),
-                                   int(ds["sample_rate"]), float(ds["duration_s"]),
-                                   float(ds["tempo_bpm"]))
+    grid = build_grid(ds["family"], ds["n_loops"], cfg["seed"], settings)
+    if ds["loops_dir"] is not None:
+        loops = load_loops_dir(ds["loops_dir"], sample_rate=ds["sample_rate"])
+        if len(loops) < grid.n_loops:
+            raise ConfigError("dataset.loops_dir",
+                              f"found {len(loops)} loops, need {grid.n_loops}")
+        loops = loops[: grid.n_loops]
+    else:
+        loops = generate_loops(ds["n_loops"], cfg["seed"], ds["sample_rate"],
+                               ds["duration_s"], ds["tempo_bpm"])
     out_dir = Path(out_dir)
-    manifest = materialize(grid, loops, out_dir, jobs=effective_jobs(cfg))
+    jobs = 1 if cfg["strict_deterministic"] else cfg["jobs"]
+    manifest = materialize(grid, loops, out_dir, jobs=jobs)
     write_resolved_config(cfg, out_dir)
     return manifest
 
@@ -240,9 +133,8 @@ def cmd_generate(cfg: dict, out_dir: str | Path) -> DatasetManifest:
 def _clip_representation(clip: AudioClip, rep: dict) -> np.ndarray:
     if rep["kind"] == "waveform":
         return clip.samples.astype(np.float32)
-    spec = transform(clip, "mel" if rep["kind"] == "mel" else "spectrogram",
-                     frame_len=int(rep["frame_len"]), hop_len=rep.get("hop_len"),
-                     n_mels=int(rep.get("n_mels", 128)))
+    spec = transform(clip, rep["kind"], frame_len=rep["frame_len"], hop_len=rep.get("hop_len"),
+                     n_mels=rep.get("n_mels", 128))
     return spec.values.astype(np.float32)
 
 
@@ -556,8 +448,6 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
         columns = _axis_columns(axis)
         row_specs: list[tuple[str, str]] = []
         for family in cfg["sweep"]["families"]:
-            if family not in FAMILIES:
-                raise ConfigError("sweep.families", f"unknown family {family!r}")
             for param in (a.param for a in FAMILIES[family]):
                 row_specs.append((family, param))
         values = [[0.0] * len(columns) for _ in row_specs]

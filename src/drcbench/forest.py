@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, check_int_fields
+from .config import check_leaves
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self, {"n_trees": 1, "min_samples_leaf": 1, "max_depth": 1,
-                                "features_per_split": 1, "seed": 0},
-                         optional=("max_depth", "features_per_split"))
-        if not isinstance(self.bootstrap, bool):
-            raise DomainError(f"bootstrap must be true or false, got {self.bootstrap!r}",
-                              field="bootstrap")
+        check_leaves("eval.forest", vars(self))
 
 
 class RegressionTree:

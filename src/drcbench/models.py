@@ -60,9 +60,8 @@ from .autodiff import (
     sub,
 )
 from .autodiff.checkpoint import load_checkpoint, save_checkpoint
-from .errors import DomainError, FormatError, NumericError, ShapeError, check_int_fields
-
-VARIANTS = ("model1_mel", "model1_spec_tuned", "model2_waveform", "model3_multikernel")
+from .config import check_leaves, integer
+from .errors import DomainError, FormatError, NumericError, ShapeError
 
 MODEL1_FILTERS = (10, 15, 15, 20, 20)
 MODEL1_KERNELS_DEFAULT = ((3, 3), (3, 3), (3, 3), (3, 3), (3, 3))
@@ -96,13 +95,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        check_int_fields(self, {"num_para": 1, "embedding_dim": 1, "seed": 0})
-        if not 0 < self.width <= 4:
-            raise DomainError(f"width multiplier {self.width} outside (0, 4]")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise DomainError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+        check_leaves("model", vars(self), num_para=integer(1))  # num_para comes from the data
 
     def block_kernels(self) -> tuple[tuple[int, int], ...]:
         if self.kernels is not None:
@@ -121,10 +114,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int_fields(self, {"batch_size": 1, "max_epochs": 1, "patience": 0, "seed": 0})
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise DomainError(
-                f"validation_fraction {self.validation_fraction} outside [0, 1)")
+        check_leaves("train", vars(self))
 
 
 def _scale(filters: int, width: float) -> int:
@@ -530,13 +520,14 @@ def save_model(path: str | Path, model: SiameseModel, label_ranges: dict[str, tu
 def load_model(path: str | Path) -> tuple[SiameseModel, dict]:
     """Rebuild a model from checkpoint + sidecar; returns (model, sidecar).
 
-    A sidecar that is not valid JSON or lacks a key raises ``FormatError``
-    naming it.
+    A sidecar that is not valid JSON, lacks a key or holds a value that its
+    config rule rejects raises ``FormatError`` naming it.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
     try:
         sidecar = json.loads(sidecar_path.read_text())
+        check_leaves("representation", sidecar["representation"])
         spec = ModelSpec(
             variant=sidecar["variant"],
             num_para=sidecar["num_para"],
@@ -549,7 +540,7 @@ def load_model(path: str | Path) -> tuple[SiameseModel, dict]:
         input_shape = tuple(sidecar["input_shape"])
     except KeyError as err:
         raise FormatError(f"{sidecar_path}: missing key {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError, DomainError) as err:
         raise FormatError(f"{sidecar_path}: malformed checkpoint sidecar: {err}") from err
     model = SiameseModel(spec, input_shape, dtype=np.float32)
     model.load_state_arrays(load_checkpoint(path))

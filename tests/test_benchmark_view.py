@@ -38,10 +38,11 @@ def test_tracer_installs_and_uninstalls(perfbench):
         assert getattr(owner, attr) is original
 
 
-def test_workloads_resolve_their_toy_configs(perfbench):
+@pytest.mark.parametrize("scale", ["toy", "full"])
+def test_workloads_resolve_their_configs(perfbench, scale):
     workloads = perfbench("workloads")
     for workload in workloads.WORKLOADS.values():
-        cfg = workloads.make_config(experiment, workload, "toy", 0)
+        cfg = workloads.make_config(experiment, workload, scale, 0)
         experiment.train_config_from(cfg)
         experiment.eval_config_from(cfg)
         experiment.model_spec_from(cfg, num_para=1)

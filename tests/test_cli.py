@@ -346,6 +346,43 @@ def test_bad_int_config_exit_2(run_dir, dataset_dir, tmp_path, section, field, v
     assert not written.exists()
 
 
+@pytest.mark.parametrize("command, overrides, path", [
+    ("generate", {"dataset": {"n_loops": 2.7}}, "dataset.n_loops"),
+    ("generate", {"dataset": {"sample_rate": 8000.5}}, "dataset.sample_rate"),
+    ("generate", {"dataset": {"duration_s": True}}, "dataset.duration_s"),
+    ("generate", {"dataset": {"settings_per_file": 2.5}}, "dataset.settings_per_file"),
+    ("generate", {"seed": 1.5}, "seed"),
+    ("generate", {"seed": -1}, "seed"),
+    ("generate", {"jobs": 0, "strict_deterministic": False}, "jobs"),
+    ("generate", {"jobs": 2.5, "strict_deterministic": False}, "jobs"),
+    ("generate", {"strict_deterministic": "no"}, "strict_deterministic"),
+    ("train", {"representation": {"kind": "cqt"}}, "representation.kind"),
+    ("train", {"representation": {"hop_len": 2.5}}, "representation.hop_len"),
+    ("train", {"model": {"width": True}}, "model.width"),
+    ("train", {"model": {"kernels": [[3, 3], [1, 3.7]]}}, "model.kernels"),
+    ("train", {"train": {"validation_fraction": False}}, "train.validation_fraction"),
+])
+def test_bad_config_leaf_exit_2(dataset_dir, tmp_path, command, overrides, path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "out"
+    dataset = ["--dataset", str(dataset_dir)] if command == "train" else []
+    rc = main([command, "--config", str(cfg), *dataset, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: {path.rsplit('.', 1)[-1]} must be " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_resolved_config_feeds_back_to_the_same_bytes(dataset_dir, tmp_path):
+    resolved = dataset_dir / "config.resolved.json"
+    again = tmp_path / "again"
+    assert main(["generate", "--config", str(resolved), "--out", str(again)]) == 0
+    assert (again / "config.resolved.json").read_bytes() == resolved.read_bytes()
+    assert (again / "manifest.json").read_bytes() == (dataset_dir / "manifest.json").read_bytes()
+
+
 def test_numeric_error_exit_3(monkeypatch, dataset_dir, capsys):
     def boom(cfg, dataset, out):
         raise NumericError("training diverged at epoch 3")
@@ -372,11 +409,21 @@ def test_corrupt_manifest_exit_2(dataset_dir, tmp_path, corrupt, message, capsys
     assert "Traceback" not in err
 
 
+def _edit_representation(text, **values):
+    sidecar = json.loads(text)
+    sidecar["representation"].update(values)
+    return json.dumps(sidecar)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda text: text[: len(text) // 2], "malformed checkpoint sidecar"),
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "input_shape"}),
      "missing key 'input_shape'"),
-], ids=["truncated", "no_input_shape"])
+    (lambda text: _edit_representation(text, hop_len=2.5),
+     "malformed checkpoint sidecar: hop_len must be an int >= 1 or None, got 2.5"),
+    (lambda text: _edit_representation(text, kind="cqt"),
+     "malformed checkpoint sidecar: kind must be one of 'spectrogram', 'mel', 'waveform'"),
+], ids=["truncated", "no_input_shape", "hop_len_2.5", "kind_cqt"])
 def test_corrupt_checkpoint_sidecar_exit_2(run_dir, dataset_dir, tmp_path, corrupt, message,
                                            capsys):
     ckpt = tmp_path / "checkpoint.drcw"
