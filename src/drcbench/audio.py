@@ -14,12 +14,12 @@ state is consulted. Output peaks are normalized to -1 dBFS.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import DomainError, RecipeError
 
 #: Linear floor used when converting magnitudes to dB (-240 dB).
@@ -174,22 +174,16 @@ def synthesize_loop(recipe: LoopRecipe, sample_rate: int = 16000, clip_id: str |
     return AudioClip(samples=samples, sample_rate=sample_rate, clip_id=clip_id)
 
 
-def recipe_to_dict(recipe: LoopRecipe | None) -> dict | None:
-    return None if recipe is None else asdict(recipe)
-
-
-def recipe_from_dict(d: dict | None) -> LoopRecipe | None:
-    return None if d is None else LoopRecipe(**d)
-
-
 def write_clip_sidecar(path: str | Path, clip_id: str, sample_rate: int,
                        recipe: LoopRecipe | None = None) -> None:
     """Write the one-object JSON metadata sidecar for a stored clip."""
-    doc = {"id": clip_id, "recipe": recipe_to_dict(recipe), "sample_rate": sample_rate}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"id": clip_id, "recipe": None if recipe is None else asdict(recipe),
+                      "sample_rate": sample_rate})
 
 
 def read_clip_sidecar(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    doc["recipe"] = recipe_from_dict(doc.get("recipe"))
-    return doc
+    """A clip sidecar, its ``recipe`` a ``LoopRecipe`` or None; damage raises ``FormatError``."""
+    def parse(doc: dict) -> dict:
+        recipe = doc.get("recipe")
+        return {**doc, "recipe": None if recipe is None else LoopRecipe(**recipe)}
+    return read_json(path, "loop sidecar", parse)

@@ -9,7 +9,6 @@ from .ops import (
     concat,
     conv1d,
     conv2d,
-    conv_out_len,
     crop,
     dense,
     dropout,
@@ -36,7 +35,6 @@ __all__ = [
     "concat",
     "conv1d",
     "conv2d",
-    "conv_out_len",
     "crop",
     "dense",
     "dropout",

@@ -1,8 +1,8 @@
 """Differentiable operations: exactly the layer set the models need.
 
 Conventions: batch axis first, channels last. Convolutions are valid
-(no padding) cross-correlations; output length per spatial axis is
-``floor((in - k) / stride) + 1``. Pooling windows equal their stride.
+(no padding) cross-correlations at stride 1, so output length per spatial
+axis is ``in - k + 1``. Pooling windows equal their stride.
 ``crop`` exists so residual additions can align the shorter output of a
 valid convolution with its skip path.
 """
@@ -13,10 +13,6 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError
 from .tensor import Tensor, result_tensor
-
-
-def conv_out_len(n: int, k: int, stride: int) -> int:
-    return (n - k) // stride + 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +201,10 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions (valid cross-correlation, stride >= 1)
+# convolutions (valid cross-correlation, stride 1)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x: (N, H, W, C), w: (kh, kw, C, F), b: (F,) -> (N, Ho, Wo, F)."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/kernel, got {x.shape} and {w.shape}")
@@ -218,15 +214,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {cin}")
     if kh > h or kw > width:
         raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than input ({h}, {width})")
-    if stride < 1:
-        raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
-    ho, wo = conv_out_len(h, kh, stride), conv_out_len(width, kw, stride)
+    ho, wo = h - kh + 1, width - kw + 1
 
     data = np.zeros((n, ho, wo, f), dtype=x.dtype)
     flat = data.reshape(-1, f)
     for i in range(kh):
         for j in range(kw):
-            xs = x.data[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :]
+            xs = x.data[:, i:i + ho, j:j + wo, :]
             flat += xs.reshape(-1, c) @ w.data[i, j]
     data += b.data
     out = result_tensor(data, (x, w, b), "conv2d")
@@ -239,7 +233,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
                 dw = np.empty_like(w.data)
                 for i in range(kh):
                     for j in range(kw):
-                        xs = x.data[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :]
+                        xs = x.data[:, i:i + ho, j:j + wo, :]
                         dw[i, j] = xs.reshape(-1, c).T @ gf
                 w.accumulate_grad(dw)
             if x.requires_grad:
@@ -247,13 +241,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
                 for i in range(kh):
                     for j in range(kw):
                         patch = (gf @ w.data[i, j].T).reshape(n, ho, wo, c)
-                        dx[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :] += patch
+                        dx[:, i:i + ho, j:j + wo, :] += patch
                 x.accumulate_grad(dx)
         out._backward = _backward
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x: (N, L, C), w: (k, C, F), b: (F,) -> (N, Lo, F).
 
     A view of ``conv2d`` on a singleton height axis: (N, 1, L, C) by (1, k, C, F).
@@ -261,7 +255,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D input/kernel, got {x.shape} and {w.shape}")
     n, length, c = x.shape
-    out = conv2d(reshape(x, (n, 1, length, c)), reshape(w, (1, *w.shape)), b, stride)
+    out = conv2d(reshape(x, (n, 1, length, c)), reshape(w, (1, *w.shape)), b)
     return reshape(out, (n, out.shape[2], out.shape[3]))
 
 

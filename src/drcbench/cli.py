@@ -133,12 +133,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "embed":
-        checkpoint = None
-        if args.source == "embeddings":
-            if args.checkpoint is None:
-                raise ConfigError("checkpoint", "required when --source embeddings")
-            checkpoint = _require_file(args.checkpoint, "checkpoint")
-        features = experiment.cmd_embed(cfg, args.dataset, checkpoint, args.out,
+        features = experiment.cmd_embed(cfg, args.dataset, args.checkpoint, args.out,
                                         source=args.source)
         print(f"wrote {features.shape[0]}x{features.shape[1]} features to {args.out}")
         return 0

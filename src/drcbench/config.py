@@ -25,6 +25,9 @@ from .errors import ConfigError, DomainError
 #: the siamese variants ``models`` builds
 VARIANTS = ("model1_mel", "model1_spec_tuned", "model2_waveform", "model3_multikernel")
 
+#: the input representations ``experiment`` computes from a clip
+KINDS = ("spectrogram", "mel", "waveform")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -92,7 +95,7 @@ TABLE: dict[str, tuple[object, Rule]] = {
     "dataset.tempo_bpm": (120.0, number(0, math.inf)),
     "dataset.loops_dir": (None, PATH),  # use pre-existing WAVs instead of synthesis
     # Non-null entries override the model variant's default representation.
-    "representation.kind": (None, one_of(("spectrogram", "mel", "waveform"), nullable=True)),
+    "representation.kind": (None, one_of(KINDS, nullable=True)),
     "representation.frame_len": (None, integer(2, nullable=True)),
     "representation.hop_len": (None, integer(1, nullable=True)),
     "representation.n_mels": (None, integer(1, nullable=True)),

@@ -27,16 +27,16 @@ reproduces the processed WAV bit-exactly.
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .audio import AudioClip, LoopRecipe, read_clip_sidecar, synthesize_loop, write_clip_sidecar
 from .compressor import PARAM_NAMES, DrcParams, compress
-from .errors import DataError, DomainError, FormatError
+from .errors import DataError, DomainError
 from .wavio import read_wav, write_wav
 
 DEFAULT_PARAMS = DrcParams()
@@ -187,17 +187,6 @@ class Entry:
     labels: DrcParams
     clamped: bool = False
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["labels"] = self.labels.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Entry":
-        d = dict(d)
-        d["labels"] = DrcParams.from_dict(d["labels"])
-        return cls(**d)
-
 
 @dataclass
 class DatasetManifest:
@@ -212,58 +201,32 @@ class DatasetManifest:
     n_clamped: int = 0
     n_deduplicated: int = 0
 
-    def to_json(self) -> str:
-        doc = {
-            "family": self.family,
-            "split_seed": self.split_seed,
-            "sample_rate": self.sample_rate,
-            "grid": {
-                "family": self.grid.family,
-                "n_loops": self.grid.n_loops,
-                "seed": self.grid.seed,
-                "settings_per_file": self.grid.settings_per_file,
-                "axes": [asdict(a) for a in self.grid.axes],
-            },
-            "n_clamped": self.n_clamped,
-            "n_deduplicated": self.n_deduplicated,
-            "loops": self.loops,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        doc = json.loads(text)
-        grid = GridSpec(
-            family=doc["grid"]["family"],
-            axes=tuple(GridAxis(**a) for a in doc["grid"]["axes"]),
-            n_loops=doc["grid"]["n_loops"],
-            seed=doc["grid"]["seed"],
-            settings_per_file=doc["grid"]["settings_per_file"],
-        )
-        return cls(
-            family=doc["family"],
-            split_seed=doc["split_seed"],
-            sample_rate=doc["sample_rate"],
-            grid=grid,
-            loops=doc["loops"],
-            entries=[Entry.from_dict(e) for e in doc["entries"]],
-            n_clamped=doc["n_clamped"],
-            n_deduplicated=doc["n_deduplicated"],
-        )
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
         """Read a manifest; a malformed file raises ``FormatError`` naming it."""
-        try:
-            return cls.from_json(Path(path).read_text())
-        except KeyError as err:
-            raise FormatError(f"{path}: missing key {err}") from err
-        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as err:
-            raise FormatError(f"{path}: malformed manifest: {err}") from err
+        def parse(doc: dict) -> "DatasetManifest":
+            grid = doc["grid"]
+            return cls(
+                family=doc["family"],
+                split_seed=doc["split_seed"],
+                sample_rate=doc["sample_rate"],
+                grid=GridSpec(
+                    family=grid["family"],
+                    axes=tuple(GridAxis(**a) for a in grid["axes"]),
+                    n_loops=grid["n_loops"],
+                    seed=grid["seed"],
+                    settings_per_file=grid["settings_per_file"],
+                ),
+                loops=doc["loops"],
+                entries=[Entry(**{**e, "labels": DrcParams.from_dict(e["labels"])})
+                         for e in doc["entries"]],
+                n_clamped=doc["n_clamped"],
+                n_deduplicated=doc["n_deduplicated"],
+            )
+        return read_json(path, "manifest", parse)
 
     def label_matrix(self) -> np.ndarray:
         """Labels of the varying parameters, shape (n_entries, n_varying)."""

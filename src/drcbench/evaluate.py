@@ -13,13 +13,13 @@ epsilon-guarded so silent or constant clips produce finite numbers.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import dumps, write_json
 from .audio import AudioClip, DB_FLOOR
 from .config import check_leaves
 from .errors import DataError, ProtocolError
@@ -157,8 +157,8 @@ class EvalReport:
     seed: int
     forest: dict
 
-    def to_json(self) -> str:
-        doc = {
+    def _doc(self) -> dict:
+        return {
             "feature_source": self.feature_source,
             "family": self.family,
             "target_names": list(self.target_names),
@@ -174,7 +174,9 @@ class EvalReport:
                 "forest": self.forest,
             },
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return dumps(self._doc())
 
     def render_text(self) -> str:
         units = {"thd_db": "dB", "ratio": "", "attack_ms": "ms", "release_ms": "ms"}
@@ -191,7 +193,7 @@ class EvalReport:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        path.with_suffix(".json").write_text(self.to_json() + "\n")
+        write_json(path.with_suffix(".json"), self._doc())
         path.with_suffix(".txt").write_text(self.render_text())
 
 

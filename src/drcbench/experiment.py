@@ -3,20 +3,26 @@
 A single JSON config tree drives everything. ``config.load_config`` (re-exported
 here) checks every leaf of it once against ``config.TABLE``, so the steps read
 values as they are, with no cast, and an unknown key or bad value raises
-``ConfigError`` with a dotted field path. Every step writes a
-``config.resolved.json`` snapshot next to its outputs so runs can be
-re-created from the artifacts alone.
+``ConfigError`` with a dotted field path.
+
+Each step records the config it ran, so runs can be re-created from the
+artifacts alone: ``generate``, ``train`` and ``reproduce_table`` write
+``config.resolved.json`` into the directory they own, and ``evaluate`` and
+``fit``, which may share a run directory with ``train``, write
+``<out>.config.json`` next to their record. ``embed`` reads no config and writes
+none. Every JSON record goes through ``artifacts``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import json
 from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .audio import AudioClip
 from .autodiff.tensor import check_finite
 from .config import load_config  # noqa: F401  re-exported; perfbench/workloads.py calls it here
@@ -28,7 +34,7 @@ from .dataset import (
     load_loops_dir,
     materialize,
 )
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 from .evaluate import (
     EvalConfig,
     EvalReport,
@@ -67,14 +73,6 @@ EMBED_BATCH = 8
 # config plumbing
 
 
-def write_resolved_config(cfg: dict, out_dir: str | Path) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def train_config_from(cfg: dict) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
@@ -93,10 +91,19 @@ def eval_config_from(cfg: dict) -> EvalConfig:
 
 
 def resolve_representation(cfg: dict, variant: str) -> dict:
+    """The variant's default representation under the config's non-null entries.
+
+    ``model2_waveform`` takes only a waveform, the other variants only a
+    spectrogram or mel; any other kind raises ``ConfigError``.
+    """
     rep = dict(default_representation(variant))
     for key, value in cfg["representation"].items():
         if value is not None:
             rep[key] = value
+    if (rep["kind"] == "waveform") != (variant == "model2_waveform"):
+        takes = "'waveform'" if variant == "model2_waveform" else "'spectrogram' or 'mel'"
+        raise ConfigError("representation.kind",
+                          f"kind must be {takes} for {variant}, got {rep['kind']!r}")
     return rep
 
 
@@ -122,7 +129,7 @@ def cmd_generate(cfg: dict, out_dir: str | Path) -> DatasetManifest:
     out_dir = Path(out_dir)
     jobs = 1 if cfg["strict_deterministic"] else cfg["jobs"]
     manifest = materialize(grid, loops, out_dir, jobs=jobs)
-    write_resolved_config(cfg, out_dir)
+    write_json(out_dir / "config.resolved.json", cfg)
     return manifest
 
 
@@ -229,7 +236,7 @@ def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
         writer.writerow(["epoch", "train_mse", "val_mse"])
         for row in history:
             writer.writerow([row.epoch, f"{row.train_mse:.8f}", f"{row.val_mse:.8f}"])
-    write_resolved_config(cfg, out_dir)
+    write_json(out_dir / "config.resolved.json", cfg)
     return ckpt
 
 
@@ -238,8 +245,6 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
     """Write per-entry feature rows: model merge embeddings or the baseline stats."""
     root = Path(dataset_dir)
     manifest = _load_manifest(root)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if source == "baseline":
         # the stats of an unprocessed loop are shared by all its entries
@@ -247,8 +252,9 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         features = baseline_matrix(clips, a_idx, b_idx).astype(np.float32)
         meta_extra = {"checkpoint": None}
     elif source == "embeddings":
-        if checkpoint is None:
-            raise ConfigError("checkpoint", "embedding extraction needs a trained checkpoint")
+        if checkpoint is None or not Path(checkpoint).exists():
+            raise ConfigError("checkpoint",
+                              f"embedding extraction needs a trained checkpoint, got {checkpoint}")
         model, sidecar = load_model(checkpoint)
         # f(unprocessed) depends only on the loop: run the branch once per WAV
         clips, a_idx, b_idx = load_pair_arrays(root, manifest, sidecar["representation"])
@@ -260,6 +266,8 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
     else:
         raise ConfigError("source", f"expected 'embeddings' or 'baseline', got {source!r}")
 
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_matrix(out_path, features, SCALE_FEATURES)
     meta = {
         "dataset": str(root),
@@ -269,7 +277,7 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         "n_cols": int(features.shape[1]),
         **meta_extra,
     }
-    out_path.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out_path.with_suffix(".json"), meta)
     return features
 
 
@@ -278,30 +286,22 @@ def _feature_source(features_path: str | Path) -> str:
     meta_path = Path(features_path).with_suffix(".json")
     if not meta_path.exists():
         return "features"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise FormatError(f"{meta_path}: malformed feature metadata: {err}") from err
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: malformed feature metadata: not a JSON object")
-    return meta.get("feature_source", "features")
+    return read_json(meta_path, "feature metadata",
+                     lambda meta: meta.get("feature_source", "features"))
 
 
 def cmd_evaluate(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
-                 out_base: str | Path, feature_source: str | None = None) -> EvalReport:
+                 out_base: str | Path) -> EvalReport:
     manifest = _load_manifest(dataset_dir)
     features = _load_features(features_path, manifest)
-    if feature_source is None:
-        feature_source = _feature_source(features_path)
-
     report = evaluate(
         features, manifest.label_matrix(), manifest.loop_ids(),
-        manifest.grid.varying, manifest.family, feature_source, eval_config_from(cfg),
+        manifest.grid.varying, manifest.family, _feature_source(features_path),
+        eval_config_from(cfg),
     )
     out_base = Path(out_base)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
     report.save(out_base)
-    write_resolved_config(cfg, out_base.parent)
+    write_json(out_base.with_suffix(".config.json"), cfg)
     return report
 
 
@@ -328,9 +328,8 @@ def cmd_fit(cfg: dict, features_path: str | Path, dataset_dir: str | Path,
         "n_test": int(test_mask.sum()),
     }
     out_base = Path(out_base)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    out_base.with_suffix(".json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    write_resolved_config(cfg, out_base.parent)
+    write_json(out_base.with_suffix(".json"), result)
+    write_json(out_base.with_suffix(".config.json"), cfg)
     return result
 
 
@@ -374,7 +373,7 @@ def _sweep_dataset(cfg: dict, family: str, out_dir: Path) -> tuple[dict, Path]:
 def _run_cell(cfg: dict, ds_dir: Path, cell_dir: Path, rep_override: dict,
               model_override: dict) -> dict[str, float]:
     """Train + embed + evaluate one sweep cell; returns MAE per target."""
-    sub_cfg = json.loads(json.dumps(cfg))
+    sub_cfg = copy.deepcopy(cfg)
     sub_cfg["representation"] = rep_override
     sub_cfg["model"].update(model_override)
     ckpt = cmd_train(sub_cfg, ds_dir, cell_dir)
@@ -475,5 +474,5 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
 
     (axis_dir / "table.txt").write_text(text)
     (axis_dir / "table.csv").write_text(csv_body)
-    write_resolved_config(cfg, axis_dir)
+    write_json(axis_dir / "config.resolved.json", cfg)
     return axis_dir / "table.txt"

@@ -31,12 +31,12 @@ to keep desk-scale runs fast; the embedding stays 50-dimensional.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .autodiff import (
     Adadelta,
     BatchNormState,
@@ -60,8 +60,8 @@ from .autodiff import (
     sub,
 )
 from .autodiff.checkpoint import load_checkpoint, save_checkpoint
-from .config import check_leaves, integer
-from .errors import DomainError, FormatError, NumericError, ShapeError
+from .config import KINDS, check_leaves, integer, one_of
+from .errors import DomainError, NumericError, ShapeError
 
 MODEL1_FILTERS = (10, 15, 15, 20, 20)
 MODEL1_KERNELS_DEFAULT = ((3, 3), (3, 3), (3, 3), (3, 3), (3, 3))
@@ -514,34 +514,38 @@ def save_model(path: str | Path, model: SiameseModel, label_ranges: dict[str, tu
         "representation": representation,
         "train_seed": train_seed,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_model(path: str | Path) -> tuple[SiameseModel, dict]:
     """Rebuild a model from checkpoint + sidecar; returns (model, sidecar).
 
-    A sidecar that is not valid JSON, lacks a key or holds a value that its
-    config rule rejects raises ``FormatError`` naming it.
+    A sidecar that is not valid JSON, lacks a key, holds a value that its rule
+    rejects or describes arrays other than the checkpoint's raises
+    ``FormatError`` naming it.
     """
     path = Path(path)
-    sidecar_path = path.with_suffix(".json")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-        check_leaves("representation", sidecar["representation"])
-        spec = ModelSpec(
-            variant=sidecar["variant"],
-            num_para=sidecar["num_para"],
-            width=sidecar["width"],
-            embedding_dim=sidecar["embedding_dim"],
-            dropout_rate=sidecar["dropout_rate"],
-            kernels=tuple(tuple(k) for k in sidecar["kernels"]),
-            seed=sidecar["model_seed"],
-        )
-        input_shape = tuple(sidecar["input_shape"])
-    except KeyError as err:
-        raise FormatError(f"{sidecar_path}: missing key {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError, TypeError, DomainError) as err:
-        raise FormatError(f"{sidecar_path}: malformed checkpoint sidecar: {err}") from err
-    model = SiameseModel(spec, input_shape, dtype=np.float32)
-    model.load_state_arrays(load_checkpoint(path))
-    return model, sidecar
+    arrays = load_checkpoint(path)
+    return read_json(path.with_suffix(".json"), "checkpoint sidecar",
+                     lambda sidecar: (_model_from_sidecar(sidecar, arrays), sidecar))
+
+
+def _model_from_sidecar(sidecar: dict, arrays: dict[str, np.ndarray]) -> SiameseModel:
+    rep = sidecar["representation"]
+    # a recorded representation is resolved: only hop_len may be null, and a
+    # spectrogram or mel needs an int frame_len (an absent one is checked as null)
+    spectral = {} if rep["kind"] == "waveform" else {"frame_len": integer(2)}
+    check_leaves("representation", {**dict.fromkeys(spectral), **rep},
+                 kind=one_of(KINDS), n_mels=integer(1), **spectral)
+    spec = ModelSpec(
+        variant=sidecar["variant"],
+        num_para=sidecar["num_para"],
+        width=sidecar["width"],
+        embedding_dim=sidecar["embedding_dim"],
+        dropout_rate=sidecar["dropout_rate"],
+        kernels=tuple(tuple(k) for k in sidecar["kernels"]),
+        seed=sidecar["model_seed"],
+    )
+    model = SiameseModel(spec, tuple(sidecar["input_shape"]), dtype=np.float32)
+    model.load_state_arrays(arrays)
+    return model

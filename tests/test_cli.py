@@ -274,6 +274,15 @@ def test_missing_checkpoint_exit_2(dataset_dir, capsys):
     assert "nope.drcw" in capsys.readouterr().err
 
 
+def test_embed_without_checkpoint_exit_2(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "x.spec"
+    rc = main(["embed", "--dataset", str(dataset_dir), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: checkpoint: embedding extraction needs a trained checkpoint" in err
+    assert not out.exists()
+
+
 def test_missing_dataset_exit_2(capsys):
     rc = main(["train", "--dataset", "/no/such/dir", "--out", "x"])
     assert rc == 2
@@ -375,6 +384,62 @@ def test_bad_config_leaf_exit_2(dataset_dir, tmp_path, command, overrides, path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant, kind", [
+    ("model2_waveform", "mel"),
+    ("model2_waveform", "spectrogram"),
+    ("model1_spec_tuned", "waveform"),
+    ("model3_multikernel", "waveform"),
+])
+def test_representation_the_variant_cannot_take_exit_2(dataset_dir, tmp_path, variant, kind,
+                                                       capsys):
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", str(dataset_dir), "--out", str(out), "--variant", variant,
+               "--representation", kind, "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: representation.kind: kind must be " in err
+    assert f" for {variant}, got '{kind}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant, kinds", [
+    ("model1_mel", ("mel", "spectrogram")),
+    ("model1_spec_tuned", ("mel", "spectrogram")),
+    ("model2_waveform", ("waveform",)),
+    ("model3_multikernel", ("mel", "spectrogram")),
+])
+def test_resolve_representation_takes_the_kinds_of_the_variant(variant, kinds):
+    for kind in kinds:
+        cfg = experiment.load_config(None, {"representation": {"kind": kind}})
+        assert experiment.resolve_representation(cfg, variant)["kind"] == kind
+
+
+def test_evaluate_and_fit_keep_the_train_config_record(dataset_dir, tmp_path):
+    run = tmp_path / "run"
+    common = ["--dataset", str(dataset_dir), "--features", str(run / "features.spec")]
+    assert main(["train", "--dataset", str(dataset_dir), "--out", str(run),
+                 "--epochs", "1", "--seed", "3"]) == 0
+    record = (run / "config.resolved.json").read_bytes()
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(run / "features.spec"),
+                 "--checkpoint", str(run / "checkpoint.drcw")]) == 0
+    assert main(["evaluate", *common, "--out", str(run / "report"),
+                 "--splits", "2", "--trees", "4"]) == 0
+    assert main(["fit", *common, "--out", str(run / "fit"), "--trees", "3"]) == 0
+
+    assert (run / "config.resolved.json").read_bytes() == record
+    assert json.loads(record)["train"]["max_epochs"] == 1
+    assert json.loads(record)["seed"] == 3
+    assert json.loads((run / "report.config.json").read_text())["eval"]["n_splits"] == 2
+    assert json.loads((run / "fit.config.json").read_text())["eval"]["forest"]["n_trees"] == 3
+
+    # the evaluate record re-creates its report
+    assert main(["evaluate", *common, "--config", str(run / "report.config.json"),
+                 "--out", str(run / "again")]) == 0
+    assert (run / "again.json").read_bytes() == (run / "report.json").read_bytes()
+    assert (run / "again.config.json").read_bytes() == (run / "report.config.json").read_bytes()
+
+
 def test_resolved_config_feeds_back_to_the_same_bytes(dataset_dir, tmp_path):
     resolved = dataset_dir / "config.resolved.json"
     again = tmp_path / "again"
@@ -405,13 +470,15 @@ def test_corrupt_manifest_exit_2(dataset_dir, tmp_path, corrupt, message, capsys
                "--source", "baseline"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(bad / "manifest.json") in err and message in err
+    assert f"error: {bad / 'manifest.json'}: {message}" in err
     assert "Traceback" not in err
 
 
-def _edit_representation(text, **values):
+def _edit_representation(text, drop=(), **values):
     sidecar = json.loads(text)
     sidecar["representation"].update(values)
+    for key in drop:
+        del sidecar["representation"][key]
     return json.dumps(sidecar)
 
 
@@ -423,7 +490,16 @@ def _edit_representation(text, **values):
      "malformed checkpoint sidecar: hop_len must be an int >= 1 or None, got 2.5"),
     (lambda text: _edit_representation(text, kind="cqt"),
      "malformed checkpoint sidecar: kind must be one of 'spectrogram', 'mel', 'waveform'"),
-], ids=["truncated", "no_input_shape", "hop_len_2.5", "kind_cqt"])
+    (lambda text: _edit_representation(text, frame_len=None),
+     "malformed checkpoint sidecar: frame_len must be an int >= 2, got None"),
+    (lambda text: _edit_representation(text, drop=["frame_len"]),
+     "malformed checkpoint sidecar: frame_len must be an int >= 2, got None"),
+    (lambda text: _edit_representation(text, n_mels=None),
+     "malformed checkpoint sidecar: n_mels must be an int >= 1, got None"),
+    (lambda text: json.dumps([json.loads(text)]),
+     "malformed checkpoint sidecar: not a JSON object"),
+], ids=["truncated", "no_input_shape", "hop_len_2.5", "kind_cqt", "frame_len_null", "no_frame_len",
+        "n_mels_null", "list"])
 def test_corrupt_checkpoint_sidecar_exit_2(run_dir, dataset_dir, tmp_path, corrupt, message,
                                            capsys):
     ckpt = tmp_path / "checkpoint.drcw"
@@ -434,9 +510,32 @@ def test_corrupt_checkpoint_sidecar_exit_2(run_dir, dataset_dir, tmp_path, corru
                "--out", str(tmp_path / "features.spec")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(sidecar) in err and message in err
+    assert f"error: {sidecar}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "features.spec").exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], "malformed loop sidecar"),
+    (lambda text: json.dumps([json.loads(text)]), "malformed loop sidecar: not a JSON object"),
+    (lambda text: json.dumps({**json.loads(text), "recipe": {"kind": "drum_like"}}),
+     "malformed loop sidecar: "),
+], ids=["truncated", "list", "recipe_without_keys"])
+def test_corrupt_loop_sidecar_exit_2(dataset_dir, tmp_path, corrupt, message, capsys):
+    loops = tmp_path / "loops"
+    loops.mkdir()
+    for name in ("loop000.wav", "loop000.json", "loop001.wav"):
+        (loops / name).write_bytes((dataset_dir / "loops" / name).read_bytes())
+    sidecar = loops / "loop001.json"
+    sidecar.write_text(corrupt((dataset_dir / "loops" / "loop001.json").read_text()))
+    out = tmp_path / "ds"
+    rc = main(["generate", "--out", str(out), "--family", "DS3", "--loops", "2",
+               "--settings", "2", "--loops-dir", str(loops)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {sidecar}: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_corrupt_features_metadata_exit_2(run_dir, dataset_dir, tmp_path, capsys):
@@ -449,7 +548,7 @@ def test_corrupt_features_metadata_exit_2(run_dir, dataset_dir, tmp_path, capsys
                "--out", str(tmp_path / "report"), "--splits", "1", "--trees", "2"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(meta) in err and "malformed feature metadata" in err
+    assert f"error: {meta}: malformed feature metadata" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
 

@@ -170,6 +170,8 @@ def test_manifest_json_round_trip(tmp_path):
     assert reloaded.entries == manifest.entries
     assert reloaded.sample_rate == manifest.sample_rate
     assert np.array_equal(reloaded.label_matrix(), manifest.label_matrix())
+    reloaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "manifest.json").read_bytes()
 
 
 def test_materialize_is_bit_exact_reproducible(tmp_path):
