@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import TABLE, nest
 from .errors import ConfigError, DrcBenchError, NumericError
@@ -105,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_file(path: str | Path, field: str) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(field, f"no such file: {path}")
-    return path
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     # an option that overrides a config leaf has the leaf's dotted path as its dest
     overrides = nest({dest: value for dest, value in vars(args).items()
@@ -139,15 +131,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "fit":
-        result = experiment.cmd_fit(cfg, _require_file(args.features, "features"),
-                                    args.dataset, args.out)
+        result = experiment.cmd_fit(cfg, args.features, args.dataset, args.out)
         for name in result["targets"]:
             print(f"{name}: test MAE {result['test_mae'][name]:.4f}")
         return 0
 
     if args.command == "evaluate":
-        report = experiment.cmd_evaluate(cfg, _require_file(args.features, "features"),
-                                         args.dataset, args.out)
+        report = experiment.cmd_evaluate(cfg, args.features, args.dataset, args.out)
         print(report.render_text())
         return 0
 
@@ -169,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DrcBenchError, FileNotFoundError) as err:
+    except (DrcBenchError, OSError) as err:  # an OSError names its path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

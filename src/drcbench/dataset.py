@@ -206,20 +206,22 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        """Read a manifest; a malformed file raises ``FormatError`` naming it."""
+        """Read a manifest; a malformed file raises ``FormatError`` naming it.
+
+        The grid is rebuilt from its family, so recorded axes that differ from
+        the family's are malformed.
+        """
         def parse(doc: dict) -> "DatasetManifest":
-            grid = doc["grid"]
+            recorded = doc["grid"]
+            grid = build_grid(recorded["family"], recorded["n_loops"], recorded["seed"],
+                              recorded["settings_per_file"])
+            if recorded["axes"] != [asdict(a) for a in grid.axes]:
+                raise DomainError(f"grid axes differ from the {grid.family} family's")
             return cls(
                 family=doc["family"],
                 split_seed=doc["split_seed"],
                 sample_rate=doc["sample_rate"],
-                grid=GridSpec(
-                    family=grid["family"],
-                    axes=tuple(GridAxis(**a) for a in grid["axes"]),
-                    n_loops=grid["n_loops"],
-                    seed=grid["seed"],
-                    settings_per_file=grid["settings_per_file"],
-                ),
+                grid=grid,
                 loops=doc["loops"],
                 entries=[Entry(**{**e, "labels": DrcParams.from_dict(e["labels"])})
                          for e in doc["entries"]],
@@ -273,7 +275,6 @@ def materialize(grid: GridSpec, loops: list[tuple[LoopRecipe | None, AudioClip]]
     if len(loops) != grid.n_loops:
         raise DataError(f"grid expects {grid.n_loops} loops, got {len(loops)}")
     root = Path(root)
-    (root / "loops").mkdir(parents=True, exist_ok=True)
 
     loop_meta = []
     tasks = []
@@ -294,7 +295,6 @@ def materialize(grid: GridSpec, loops: list[tuple[LoopRecipe | None, AudioClip]]
             "recipe": None if recipe is None else asdict(recipe),
         })
 
-        (root / grid.family / loop_id).mkdir(parents=True, exist_ok=True)
         seen: set[tuple] = set()
         entry_index = 0
         for params, clamped in grid.loop_settings(i):

@@ -13,13 +13,12 @@ epsilon-guarded so silent or constant clips produce finite numbers.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import dumps, write_json
+from .artifacts import dumps, write_file, write_json
 from .audio import AudioClip, DB_FLOOR
 from .config import check_leaves
 from .errors import DataError, ProtocolError
@@ -99,15 +98,16 @@ def clip_stats(clip: AudioClip) -> np.ndarray:
 
 def baseline_features(unprocessed: AudioClip, processed: AudioClip) -> np.ndarray:
     """Handcrafted pair features: stats(a), stats(b), stats(b) - stats(a)."""
-    return baseline_matrix([unprocessed, processed], [0], [1])[0]
+    return baseline_matrix(np.stack([clip_stats(unprocessed), clip_stats(processed)]),
+                           [0], [1])[0]
 
 
-def baseline_matrix(clips: Sequence[AudioClip], a_idx, b_idx) -> np.ndarray:
-    """``baseline_features`` of every pair ``(clips[a_idx[i]], clips[b_idx[i]])``.
+def baseline_matrix(stats: np.ndarray, a_idx, b_idx) -> np.ndarray:
+    """``baseline_features`` of every pair, from one ``clip_stats`` row per clip.
 
-    The statistics of each clip are computed once, however many pairs share it.
+    Pair ``i`` is (the clip of row ``a_idx[i]``, the clip of row ``b_idx[i]``),
+    so each clip's statistics are computed once, however many pairs share it.
     """
-    stats = np.stack([clip_stats(clip) for clip in clips])
     a, b = stats[a_idx], stats[b_idx]
     return np.concatenate([a, b, b - a], axis=1)
 
@@ -194,7 +194,7 @@ class EvalReport:
     def save(self, path: str | Path) -> None:
         path = Path(path)
         write_json(path.with_suffix(".json"), self._doc())
-        path.with_suffix(".txt").write_text(self.render_text())
+        write_file(path.with_suffix(".txt"), self.render_text())
 
 
 def grouped_split(groups: list[str], test_fraction: float, rng: np.random.Generator,

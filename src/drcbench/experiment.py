@@ -10,19 +10,19 @@ artifacts alone: ``generate``, ``train`` and ``reproduce_table`` write
 ``config.resolved.json`` into the directory they own, and ``evaluate`` and
 ``fit``, which may share a run directory with ``train``, write
 ``<out>.config.json`` next to their record. ``embed`` reads no config and writes
-none. Every JSON record goes through ``artifacts``.
+none. Every file a step writes or reads goes through ``artifacts``.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
+import importlib
 from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json, write_file, write_json
 from .audio import AudioClip
 from .autodiff.tensor import check_finite
 from .config import load_config  # noqa: F401  re-exported; perfbench/workloads.py calls it here
@@ -53,13 +53,13 @@ from .models import (
     save_model,
     train,
 )
-from .spectrogram import (
-    SCALE_FEATURES,
-    read_matrix,
-    transform,
-    write_matrix,
-)
+from .spectrogram import read_matrix, transform, write_matrix
 from .wavio import read_wav
+
+# The module, looked up at call time: perfbench/tracer.py and the tests patch
+# ``clip_stats`` there. ``from . import evaluate`` would give the package's
+# re-exported ``evaluate`` function instead.
+_evaluate = importlib.import_module(".evaluate", __package__)
 
 # No package code reads this variable; perfbench/workloads.py still sets it.
 CACHE_ENV_VAR = "DRCBENCH_CACHE_DIR"
@@ -205,9 +205,7 @@ def _load_manifest(dataset_dir: str | Path) -> DatasetManifest:
 
 def _load_features(path: str | Path, manifest: DatasetManifest) -> np.ndarray:
     """A feature matrix with one row per manifest entry, as float64."""
-    features, scale = read_matrix(path)
-    if scale != SCALE_FEATURES:
-        raise DataError(f"{path}: not a feature matrix (scale enum {scale})")
+    features = read_matrix(path)
     if features.shape[0] != len(manifest.entries):
         raise DataError(
             f"feature rows ({features.shape[0]}) != manifest entries ({len(manifest.entries)})"
@@ -228,14 +226,11 @@ def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
     history = train(model, clips, a_idx, b_idx, y, train_cfg)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.drcw"
     save_model(ckpt, model, ranges, rep, train_cfg.seed)
-    with open(out_dir / "training_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for row in history:
-            writer.writerow([row.epoch, f"{row.train_mse:.8f}", f"{row.val_mse:.8f}"])
+    log = ["epoch,train_mse,val_mse"]
+    log += [f"{row.epoch},{row.train_mse:.8f},{row.val_mse:.8f}" for row in history]
+    write_file(out_dir / "training_log.csv", "\r\n".join(log) + "\r\n")  # CSV line ends
     write_json(out_dir / "config.resolved.json", cfg)
     return ckpt
 
@@ -247,9 +242,11 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
     manifest = _load_manifest(root)
 
     if source == "baseline":
-        # the stats of an unprocessed loop are shared by all its entries
-        clips, a_idx, b_idx = _load_unique_wavs(manifest, lambda rel: read_wav(root / rel))
-        features = baseline_matrix(clips, a_idx, b_idx).astype(np.float32)
+        # the stats of an unprocessed loop are shared by all its entries; only
+        # the six stats of each WAV are kept, not its samples
+        stats, a_idx, b_idx = _load_unique_wavs(
+            manifest, lambda rel: _evaluate.clip_stats(read_wav(root / rel)))
+        features = baseline_matrix(np.stack(stats), a_idx, b_idx).astype(np.float32)
         meta_extra = {"checkpoint": None}
     elif source == "embeddings":
         if checkpoint is None or not Path(checkpoint).exists():
@@ -267,8 +264,7 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         raise ConfigError("source", f"expected 'embeddings' or 'baseline', got {source!r}")
 
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_path, features, SCALE_FEATURES)
+    write_matrix(out_path, features)
     meta = {
         "dataset": str(root),
         "family": manifest.family,
@@ -432,7 +428,6 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
     """Re-run one published comparison axis at desk scale and emit tables."""
     out_dir = Path(out_dir)
     axis_dir = out_dir / axis
-    axis_dir.mkdir(parents=True, exist_ok=True)
 
     if axis == "four-param":
         d4p_cfg, ds_dir = _sweep_dataset(cfg, "D4P", out_dir)
@@ -472,7 +467,7 @@ def reproduce_table(cfg: dict, axis: str, out_dir: str | Path) -> Path:
     annotations = _annotate_direction(row_labels, values, expectation)
     text, csv_body = render_table(titles[axis], row_labels, col_labels, values, annotations)
 
-    (axis_dir / "table.txt").write_text(text)
-    (axis_dir / "table.csv").write_text(csv_body)
+    write_file(axis_dir / "table.txt", text)
+    write_file(axis_dir / "table.csv", csv_body)
     write_json(axis_dir / "config.resolved.json", cfg)
     return axis_dir / "table.txt"

@@ -7,10 +7,10 @@ with ``gamma = 1e4``; the mel filterbank (HTK mel scale, triangular filters,
 unit peak) is applied to the *power* spectrogram before compression.
 
 Representations are computed from the audio whenever they are needed and
-are not stored. Feature tables are stored in a small flat binary format
-(``.spec``): a 16-byte header (magic ``SPEC``, u32 rows, u32 cols, u32 scale
-enum) followed by float32 row-major little-endian payload; the scale enum
-tags what the matrix holds.
+are not stored. Feature matrices are stored, through ``artifacts``, in a
+small flat binary format (``.spec``): a 16-byte header (magic ``SPEC``, u32
+rows, u32 cols, u32 scale enum, always ``SCALE_FEATURES``) followed by a
+float32 row-major little-endian payload.
 """
 
 from __future__ import annotations
@@ -21,20 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_file, write_file
 from .audio import AudioClip
 from .errors import DomainError, FormatError, ShapeError, SizeError
 
 #: log-compression strength shared by both representations
 GAMMA = 1e4
 
-CACHE_MAGIC = b"SPEC"
+MAGIC = b"SPEC"
 
-#: scale enum in the ``.spec`` header
-SCALE_LINEAR_STFT = 0
-SCALE_MEL = 1
+#: scale enum of every ``.spec`` header; its value keeps existing feature files readable
 SCALE_FEATURES = 2
-
-_SCALE_NAMES = {SCALE_LINEAR_STFT: "linear_stft", SCALE_MEL: "mel", SCALE_FEATURES: "features"}
 
 
 @dataclass(frozen=True)
@@ -158,33 +155,31 @@ def transform(clip: AudioClip, representation: str, frame_len: int = 256,
     raise DomainError(f"unknown representation {representation!r}")
 
 
-def write_matrix(path: str | Path, values: np.ndarray, scale: int) -> None:
-    """Write a 2-D float matrix in the flat binary ``.spec`` format."""
+def write_matrix(path: str | Path, values: np.ndarray) -> None:
+    """Write a 2-D feature matrix in the flat binary ``.spec`` format."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise DomainError(f".spec stores 2-D matrices, got shape {values.shape}")
-    if scale not in _SCALE_NAMES:
-        raise DomainError(f"unknown scale enum {scale}")
     rows, cols = values.shape
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC + struct.pack("<III", rows, cols, scale))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    write_file(path, MAGIC + struct.pack("<III", rows, cols, SCALE_FEATURES)
+               + np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
-def read_matrix(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a ``.spec`` matrix; returns (float32 array, scale enum)."""
-    raw = Path(path).read_bytes()
+def read_matrix(path: str | Path) -> np.ndarray:
+    """Read a ``.spec`` feature matrix as float32; damage raises ``FormatError`` naming it."""
+    return read_file(path, "feature matrix", _parse_matrix)
+
+
+def _parse_matrix(raw: bytes) -> np.ndarray:
     if len(raw) < 16:
         raise FormatError(f"header: expected 16 bytes, file has {len(raw)}")
-    if raw[:4] != CACHE_MAGIC:
-        raise FormatError(f"magic: expected {CACHE_MAGIC!r}, got {raw[:4]!r}")
+    if raw[:4] != MAGIC:
+        raise FormatError(f"magic: expected {MAGIC!r}, got {raw[:4]!r}")
     rows, cols, scale = struct.unpack("<III", raw[4:16])
-    if scale not in _SCALE_NAMES:
-        raise FormatError(f"scale enum: unknown value {scale}")
+    if scale != SCALE_FEATURES:
+        raise FormatError(f"scale enum: expected {SCALE_FEATURES} (features), got {scale}")
     expected = rows * cols * 4
     if len(raw) - 16 != expected:
-        raise FormatError(
-            f"payload size: expected {expected} bytes for {rows}x{cols}, got {len(raw) - 16}"
-        )
-    values = np.frombuffer(raw[16:], dtype="<f4").reshape(rows, cols)
-    return values, scale
+        raise FormatError(f"payload size: expected {expected} bytes for {rows}x{cols}, "
+                          f"got {len(raw) - 16}")
+    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols)

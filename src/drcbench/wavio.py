@@ -1,9 +1,10 @@
 """Minimal RIFF/WAVE I/O for mono PCM16 and IEEE float32 files.
 
-The parser is intentionally strict: anything it cannot represent raises
-``FormatError`` naming the offending field instead of propagating a struct
-unpack failure, and truncated files are detected up front. Unknown chunks
-are skipped, as allowed by the RIFF container rules.
+Files are written and read through ``artifacts``. The parser is strict:
+anything it cannot represent, a truncated file included, raises
+``FormatError`` naming the file and the offending field instead of
+propagating a struct unpack failure. Unknown chunks are skipped, as allowed
+by the RIFF container rules.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import Cursor, read_file, write_file
 from .audio import AudioClip
 from .errors import DomainError, FormatError
 
@@ -36,58 +38,46 @@ def write_wav(path: str | Path, clip: AudioClip, encoding: str = "float32") -> N
     else:
         raise DomainError(f"encoding must be 'pcm16' or 'float32', got {encoding!r}")
 
-    channels = 1
-    block_align = channels * bits // 8
-    byte_rate = clip.sample_rate * block_align
-    fmt_chunk = struct.pack(
-        "<HHIIHH", fmt_tag, channels, clip.sample_rate, byte_rate, block_align, bits
-    )
-    data = payload
-    if len(data) % 2:
-        data += b"\x00"  # chunk padding byte
-    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + len(data))
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
-        fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
-        fh.write(b"data" + struct.pack("<I", len(payload)) + data)
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
+    block_align = bits // 8  # one channel
+    fmt_chunk = struct.pack("<HHIIHH", fmt_tag, 1, clip.sample_rate,
+                            clip.sample_rate * block_align, block_align, bits)
+    # samples of 2 or 4 bytes: the data chunk never needs a pad byte
+    write_file(path, b"".join([
+        b"RIFF", struct.pack("<I", 4 + (8 + len(fmt_chunk)) + (8 + len(payload))), b"WAVE",
+        b"fmt ", struct.pack("<I", len(fmt_chunk)), fmt_chunk,
+        b"data", struct.pack("<I", len(payload)), payload,
+    ]))
 
 
 def read_wav(path: str | Path, clip_id: str | None = None) -> AudioClip:
     """Read a mono PCM16 or IEEE float32 WAV file into an AudioClip."""
-    with open(path, "rb") as fh:
-        header = _read_exact(fh, 12, "RIFF header")
-        if header[0:4] != b"RIFF":
-            raise FormatError(f"chunk id: expected b'RIFF', got {header[0:4]!r}")
-        if header[8:12] != b"WAVE":
-            raise FormatError(f"format id: expected b'WAVE', got {header[8:12]!r}")
+    return read_file(path, "WAV file", lambda raw: _parse_wav(raw, clip_id))
 
-        fmt = None
-        data = None
-        while fmt is None or data is None:
-            head = fh.read(8)
-            if len(head) == 0:
-                missing = "fmt " if fmt is None else "data"
-                raise FormatError(f"missing chunk: {missing!r}")
-            if len(head) != 8:
-                raise FormatError("truncated file while reading chunk header")
-            cid, size = head[0:4], struct.unpack("<I", head[4:8])[0]
-            if cid == b"fmt ":
-                if size < 16:
-                    raise FormatError(f"fmt chunk size: expected >= 16, got {size}")
-                fmt = struct.unpack("<HHIIHH", _read_exact(fh, size, "fmt chunk")[:16])
-            elif cid == b"data":
-                data = _read_exact(fh, size, "data chunk")
-                if size % 2:
-                    fh.read(1)
-            else:
-                fh.seek(size + (size % 2), 1)  # skip unknown chunk + pad
+
+def _parse_wav(raw: bytes, clip_id: str | None) -> AudioClip:
+    cur = Cursor(raw)
+    header = cur.take(12, "RIFF header")
+    if header[0:4] != b"RIFF":
+        raise FormatError(f"chunk id: expected b'RIFF', got {bytes(header[0:4])!r}")
+    if header[8:12] != b"WAVE":
+        raise FormatError(f"format id: expected b'WAVE', got {bytes(header[8:12])!r}")
+
+    fmt = data = None
+    while fmt is None or data is None:
+        if cur.pos >= len(raw):
+            missing = "fmt " if fmt is None else "data"
+            raise FormatError(f"missing chunk: {missing!r}")
+        head = cur.take(8, "chunk header")
+        cid, size = head[0:4], struct.unpack("<I", head[4:8])[0]
+        if cid == b"fmt ":
+            if size < 16:
+                raise FormatError(f"fmt chunk size: expected >= 16, got {size}")
+            fmt = struct.unpack("<HHIIHH", cur.take(size, "fmt chunk")[:16])
+        elif cid == b"data":
+            data = cur.take(size, "data chunk")
+            cur.pos += size % 2
+        else:
+            cur.pos += size + (size % 2)  # skip unknown chunk + pad
 
     fmt_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:

@@ -1,4 +1,4 @@
-"""The one JSON format and its checked reader, and the guard that keeps them the only path."""
+"""The one file path and JSON format of the artifacts, and the guards that keep them the only ones."""
 
 import json
 import re
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from drcbench.artifacts import dumps, read_json, write_json
+from drcbench.artifacts import Cursor, dumps, read_file, read_json, write_file, write_json
 from drcbench.errors import DomainError, FormatError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drcbench"
@@ -45,6 +45,31 @@ def test_read_json_names_the_file(tmp_path, text, message):
     with pytest.raises(FormatError) as err:
         read_json(path, "thing", parse)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_read_file_names_the_file_of_a_short_field(tmp_path):
+    path = tmp_path / "new" / "blob.bin"
+    write_file(path, "ab\u00e9")
+    assert path.read_bytes() == b"ab\xc3\xa9"
+
+    def parse(raw):
+        cursor = Cursor(raw)
+        assert bytes(cursor.take(2, "head")) == b"ab"
+        return cursor.take(3, "tail")
+
+    with pytest.raises(FormatError) as err:
+        read_file(path, "blob", parse)
+    assert str(err.value) == f"{path}: malformed blob: truncated file while reading tail"
+
+
+def test_only_artifacts_touches_files():
+    calls = re.compile(r"\bopen\(|\.(write_text|write_bytes|read_bytes|mkdir)\(")
+    offenders = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "artifacts.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1) if calls.search(line)
+    ]
+    assert offenders == []
 
 
 def test_only_artifacts_and_config_call_json():

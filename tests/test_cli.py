@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from drcbench.models import (
     save_model,
     train,
 )
-from drcbench.spectrogram import SCALE_FEATURES, read_matrix, write_matrix
+from drcbench.spectrogram import read_matrix, write_matrix
 from drcbench.wavio import read_wav
 
 
@@ -80,9 +81,9 @@ def test_train_outputs(run_dir):
 
 
 def test_embed_outputs(run_dir, dataset_dir):
-    features, scale = read_matrix(run_dir / "features.spec")
+    features = read_matrix(run_dir / "features.spec")
     assert features.shape == (15, 50)
-    assert scale == 2
+    assert (run_dir / "features.spec").read_bytes()[12:16] == (2).to_bytes(4, "little")
     meta = json.loads((run_dir / "features.json").read_text())
     assert meta["feature_source"] == "embeddings"
     assert meta["n_rows"] == 15
@@ -93,7 +94,7 @@ def test_embed_baseline(run_dir, dataset_dir):
     rc = main(["embed", "--dataset", str(dataset_dir), "--out", str(out),
                "--source", "baseline"])
     assert rc == 0
-    features, _ = read_matrix(out)
+    features = read_matrix(out)
     assert features.shape == (15, 18)
 
 
@@ -171,7 +172,7 @@ def test_embed_matches_embed_pair_oracle(dataset_dir, tmp_path, variant):
     whole = oracle(np.concatenate([x_a, x_a[-1:]]), np.concatenate([x_b, x_b[-1:]]))
     assert features.dtype == np.float32
     assert features.tobytes() == whole.tobytes()
-    assert read_matrix(tmp_path / "features.spec")[0].tobytes() == whole.tobytes()
+    assert read_matrix(tmp_path / "features.spec").tobytes() == whole.tobytes()
     np.testing.assert_allclose(features, oracle(x_a, x_b), rtol=1e-5, atol=1e-6)
 
 
@@ -187,7 +188,7 @@ def test_embed_runs_branch_once_per_unique_wav(run_dir, dataset_dir, tmp_path, m
     features = experiment.cmd_embed(experiment.load_config(), dataset_dir,
                                     run_dir / "checkpoint.drcw", tmp_path / "features.spec")
     assert sum(rows) == 5 + 15  # each unprocessed loop once, each processed entry once
-    assert features.tobytes() == read_matrix(run_dir / "features.spec")[0].tobytes()
+    assert features.tobytes() == read_matrix(run_dir / "features.spec").tobytes()
 
 
 def test_embed_non_finite_merge_exit_3(run_dir, dataset_dir, tmp_path, monkeypatch, capsys):
@@ -244,7 +245,7 @@ def test_fit_is_split_zero_of_evaluate(run_dir, dataset_dir):
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_mismatched_feature_rows_exit_2(tmp_path, dataset_dir, command, capsys):
     features = tmp_path / "short.spec"
-    write_matrix(features, np.zeros((7, 4), dtype=np.float32), SCALE_FEATURES)
+    write_matrix(features, np.zeros((7, 4), dtype=np.float32))
     rc = main([command, "--features", str(features), "--dataset", str(dataset_dir),
                "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -287,6 +288,41 @@ def test_missing_dataset_exit_2(capsys):
     rc = main(["train", "--dataset", "/no/such/dir", "--out", "x"])
     assert rc == 2
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["evaluate", "--features", "{tmp}/dir", "--dataset", "{ds}", "--out", "{tmp}/report"],
+     "{tmp}/dir"),
+    (["embed", "--checkpoint", "{tmp}/dir", "--dataset", "{ds}", "--out", "{tmp}/f.spec"],
+     "{tmp}/dir"),
+    (["train", "--dataset", "{ds}", "--out", "{tmp}/file/run", "--epochs", "1"],
+     "{tmp}/file/run/checkpoint.drcw"),
+], ids=["evaluate_features_dir", "embed_checkpoint_dir", "train_out_under_a_file"])
+def test_os_error_exit_2(dataset_dir, tmp_path, argv, named, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    rc = main([arg.format(tmp=tmp_path, ds=dataset_dir) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ")
+    assert f"'{named.format(tmp=tmp_path)}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--source", "baseline", "--out", "{tmp}/b.spec"],
+    ["train", "--out", "{tmp}/run"],
+], ids=["embed_baseline", "train"])
+def test_truncated_dataset_wav_exit_2(dataset_dir, tmp_path, argv, capsys):
+    bad = tmp_path / "ds"
+    shutil.copytree(dataset_dir, bad)
+    wav = bad / "DS3" / "loop001" / "001.wav"
+    wav.write_bytes(wav.read_bytes()[:-100])
+    rc = main([arg.format(tmp=tmp_path) for arg in argv] + ["--dataset", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {wav}: malformed WAV file: truncated file while reading data chunk" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
@@ -461,7 +497,9 @@ def test_numeric_error_exit_3(monkeypatch, dataset_dir, capsys):
     (lambda text: text[: len(text) // 2], "malformed manifest"),
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_clamped"}),
      "missing key 'n_clamped'"),
-], ids=["truncated", "no_n_clamped"])
+    (lambda text: text.replace('"step": 2.0', '"step": 0.0', 1),
+     "malformed manifest: grid axes differ from the DS3 family's"),
+], ids=["truncated", "no_n_clamped", "grid_step_0"])
 def test_corrupt_manifest_exit_2(dataset_dir, tmp_path, corrupt, message, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()

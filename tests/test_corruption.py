@@ -4,8 +4,8 @@ Binary checkpoints and matrices raise ``FormatError``. A damaged WAV may
 also fail a domain check (a NaN sample); a damaged JSON input (a manifest, a
 loop or checkpoint sidecar, a feature matrix's metadata) raises
 ``FormatError``, or a later check rejects what it describes (a checkpoint
-array of another shape). The CLI maps every package error but
-``NumericError`` to exit 2.
+array of another shape). Every such error's message starts with the damaged
+file's path. The CLI maps every package error but ``NumericError`` to exit 2.
 """
 
 import functools
@@ -28,7 +28,7 @@ from drcbench.dataset import (
 )
 from drcbench.errors import DrcBenchError, FormatError, NumericError
 from drcbench.models import ModelSpec, SiameseModel, load_model, save_model
-from drcbench.spectrogram import SCALE_MEL, read_matrix, write_matrix
+from drcbench.spectrogram import read_matrix, write_matrix
 from drcbench.wavio import read_wav, write_wav
 
 
@@ -42,7 +42,7 @@ def _write_checkpoint(path):
 
 
 def _write_matrix(path):
-    write_matrix(path, np.random.default_rng(0).uniform(0, 5, (3, 4)), SCALE_MEL)
+    write_matrix(path, np.random.default_rng(0).uniform(0, 5, (3, 4)))
 
 
 FORMATS = {
@@ -68,8 +68,8 @@ def test_damaged_file_loads_or_raises_format_error(tmp_path, fmt, damage):
     _apply(damage, path)
     try:
         read(path)
-    except FormatError:
-        pass
+    except FormatError as err:
+        assert str(err).startswith(f"{path}: ")
 
 
 def _apply(damage, path):
@@ -149,3 +149,4 @@ def test_damaged_input_loads_or_raises_an_exit_2_error(tmp_path, fmt, damage):
         read(path)
     except DrcBenchError as err:
         assert not isinstance(err, NumericError)
+        assert str(err).startswith(f"{path}: ")

@@ -66,7 +66,7 @@ def test_baseline_matrix_rows_match_pair_features():
     rng = np.random.default_rng(3)
     clips = [_clip(rng.uniform(-0.5, 0.5, 8000) * g) for g in (1.0, 0.5, 0.25)]
     a_idx, b_idx = [0, 0, 1, 2], [1, 2, 2, 0]
-    rows = baseline_matrix(clips, a_idx, b_idx)
+    rows = baseline_matrix(np.stack([clip_stats(clip) for clip in clips]), a_idx, b_idx)
     pairs = np.stack([baseline_features(clips[a], clips[b]) for a, b in zip(a_idx, b_idx)])
     assert rows.tobytes() == pairs.tobytes()
 

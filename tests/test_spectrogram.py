@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from drcbench.audio import AudioClip
 from drcbench.errors import DomainError, FormatError, SizeError
 from drcbench.spectrogram import (
     GAMMA,
-    SCALE_MEL,
+    SCALE_FEATURES,
     Spectrogram,
     frame_count,
     hz_to_mel,
@@ -140,23 +142,23 @@ def test_mel_spectrogram_shape_and_dispatch():
 def test_matrix_cache_round_trip(tmp_path):
     values = np.random.default_rng(0).uniform(0, 5, (17, 23)).astype(np.float32)
     path = tmp_path / "m.spec"
-    write_matrix(path, values, SCALE_MEL)
-    loaded, scale = read_matrix(path)
-    assert scale == SCALE_MEL
+    write_matrix(path, values)
+    loaded = read_matrix(path)
+    assert path.read_bytes()[:16] == b"SPEC" + struct.pack("<III", 17, 23, SCALE_FEATURES)
     assert np.array_equal(loaded, values)
 
 
 def test_matrix_cache_write_is_byte_deterministic(tmp_path):
     values = np.random.default_rng(1).uniform(0, 5, (5, 7)).astype(np.float32)
     a, b = tmp_path / "a.spec", tmp_path / "b.spec"
-    write_matrix(a, values, 0)
-    write_matrix(b, values, 0)
+    write_matrix(a, values)
+    write_matrix(b, values)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_matrix_cache_bad_magic(tmp_path):
     path = tmp_path / "m.spec"
-    write_matrix(path, np.zeros((2, 2), dtype=np.float32), 0)
+    write_matrix(path, np.zeros((2, 2), dtype=np.float32))
     blob = bytearray(path.read_bytes())
     blob[0:4] = b"NOPE"
     path.write_bytes(bytes(blob))
@@ -166,7 +168,7 @@ def test_matrix_cache_bad_magic(tmp_path):
 
 def test_matrix_cache_truncated_payload(tmp_path):
     path = tmp_path / "m.spec"
-    write_matrix(path, np.ones((4, 4), dtype=np.float32), 0)
+    write_matrix(path, np.ones((4, 4), dtype=np.float32))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(FormatError):
@@ -175,12 +177,15 @@ def test_matrix_cache_truncated_payload(tmp_path):
 
 def test_matrix_cache_bad_scale_enum(tmp_path):
     path = tmp_path / "m.spec"
-    write_matrix(path, np.zeros((2, 2), dtype=np.float32), 0)
+    write_matrix(path, np.zeros((2, 2), dtype=np.float32))
     blob = bytearray(path.read_bytes())
-    blob[12] = 9
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="scale"):
-        read_matrix(path)
+    for scale in (0, 1, 9):  # 0 and 1 were spectrogram kinds
+        blob[12] = scale
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="scale") as err:
+            read_matrix(path)
+        assert str(err.value) == \
+            f"{path}: malformed feature matrix: scale enum: expected 2 (features), got {scale}"
 
 
 def test_spectrogram_dataclass_validation():
