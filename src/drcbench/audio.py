@@ -50,19 +50,21 @@ class AudioClip:
     clip_id: str | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        # the one copy: the clip never shares an array with its caller, and a
+        # non-float64 input (a decoded float32 WAV) is converted by this copy
+        samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise DomainError(f"clip must be mono 1-D, got shape {samples.shape}")
         if samples.size == 0:
             raise DomainError("clip must contain at least one sample")
         if not np.all(np.isfinite(samples)):
             raise DomainError("clip contains non-finite samples")
-        peak = float(np.max(np.abs(samples)))
+        peak = max(float(samples.max()), -float(samples.min()))
         if peak > 1.0 + 1e-9:
             raise DomainError(f"clip peak {peak:.6f} exceeds full scale 1.0")
         if int(self.sample_rate) <= 0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0))
+        object.__setattr__(self, "samples", np.clip(samples, -1.0, 1.0, out=samples))
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     @property

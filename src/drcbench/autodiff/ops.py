@@ -10,6 +10,7 @@ valid convolution with its skip path.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DomainError, ShapeError
 from .tensor import Tensor, result_tensor
@@ -204,8 +205,30 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # convolutions (valid cross-correlation, stride 1)
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N, H, W, C) -> the transposed im2col matrix, (kh·kw·C, N·Ho·Wo): one
+    column per output position, holding its window in the (kh, kw, C) order of
+    the kernel as a matrix.
+
+    Built channels-first, so each copied run is a row of the input rather than
+    a C-long pixel; the matmuls take the transpose without a copy.
+    """
+    c = x.shape[3]
+    planes = np.ascontiguousarray(x.transpose(3, 0, 1, 2))         # (C, N, H, W)
+    windows = sliding_window_view(planes, (kh, kw), axis=(2, 3))   # (C, N, Ho, Wo, kh, kw)
+    return windows.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw * c, -1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x: (N, H, W, C), w: (kh, kw, C, F), b: (F,) -> (N, Ho, Wo, F)."""
+    """x: (N, H, W, C), w: (kh, kw, C, F), b: (F,) -> (N, Ho, Wo, F).
+
+    im2col (Chellapilla, Puri & Simard, 2006): every window is copied into one
+    (N·Ho·Wo, kh·kw·C) matrix, a row per output position. The forward pass is
+    one matmul of it against the kernel as a (kh·kw·C, F) matrix, ``dw`` is
+    one more, and ``dx`` is one matmul scattered back over the kh·kw offsets.
+    The backward pass rebuilds the matrix from ``x`` rather than holding it
+    between the passes, so only one layer's matrix is alive at a time.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/kernel, got {x.shape} and {w.shape}")
     n, h, width, c = x.shape
@@ -216,33 +239,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than input ({h}, {width})")
     ho, wo = h - kh + 1, width - kw + 1
 
-    data = np.zeros((n, ho, wo, f), dtype=x.dtype)
-    flat = data.reshape(-1, f)
-    for i in range(kh):
-        for j in range(kw):
-            xs = x.data[:, i:i + ho, j:j + wo, :]
-            flat += xs.reshape(-1, c) @ w.data[i, j]
+    wmat = w.data.reshape(-1, f)
+    data = _im2col(x.data, kh, kw).T @ wmat
     data += b.data
-    out = result_tensor(data, (x, w, b), "conv2d")
+    out = result_tensor(data.reshape(n, ho, wo, f), (x, w, b), "conv2d")
     if out.requires_grad:
         def _backward(g):
             gf = g.reshape(-1, f)
             if b.requires_grad:
                 b.accumulate_grad(gf.sum(axis=0))
             if w.requires_grad:
-                dw = np.empty_like(w.data)
-                for i in range(kh):
-                    for j in range(kw):
-                        xs = x.data[:, i:i + ho, j:j + wo, :]
-                        dw[i, j] = xs.reshape(-1, c).T @ gf
-                w.accumulate_grad(dw)
+                w.accumulate_grad((_im2col(x.data, kh, kw) @ gf).reshape(w.shape))
             if x.requires_grad:
-                dx = np.zeros_like(x.data)
+                # scattered channels-first, like the matrix was gathered
+                dcols = (wmat @ gf.T).reshape(kh, kw, c, n, ho, wo)
+                dplanes = np.zeros((c, n, h, width), dtype=x.dtype)
                 for i in range(kh):
                     for j in range(kw):
-                        patch = (gf @ w.data[i, j].T).reshape(n, ho, wo, c)
-                        dx[:, i:i + ho, j:j + wo, :] += patch
-                x.accumulate_grad(dx)
+                        dplanes[:, :, i:i + ho, j:j + wo] += dcols[i, j]
+                x.accumulate_grad(np.ascontiguousarray(dplanes.transpose(1, 2, 3, 0)))
         out._backward = _backward
     return out
 
@@ -264,28 +279,43 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, window: tuple[int, int] = (2, 2)) -> Tensor:
+    """(N, H, W, C) -> (N, H // ph, W // pw, C), the maximum of each window.
+
+    The forward pass is a running maximum over the ph·pw strided slices, one
+    per offset in the window. The gradient goes to the first maximum of each
+    window in row-major window order: a mask of the windows not yet routed
+    lets a later equal value take nothing.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d: expected 4-D input, got {x.shape}")
     ph, pw = window
-    n, h, width, c = x.shape
+    _, h, width, _ = x.shape
     if ph < 1 or pw < 1:
         raise DomainError(f"maxpool2d: window must be >= 1, got {window}")
     ho, wo = h // ph, width // pw
     if ho == 0 or wo == 0:
         raise ShapeError(f"maxpool2d: window {window} larger than input ({h}, {width})")
-    xc = x.data[:, :ho * ph, :wo * pw, :]
-    windows = xc.reshape(n, ho, ph, wo, pw, c).transpose(0, 1, 3, 5, 2, 4)
-    flat = windows.reshape(n, ho, wo, c, ph * pw)
-    idx = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    offsets = [(slice(None), slice(i, ho * ph, ph), slice(j, wo * pw, pw))
+               for i in range(ph) for j in range(pw)]
+    data = x.data[offsets[0]].copy()
+    for index in offsets[1:]:
+        # np.maximum returns its second operand on a tie (+0.0 against -0.0),
+        # so the running maximum keeps the earlier value
+        np.maximum(x.data[index], data, out=data)
     out = result_tensor(data, (x,), "maxpool2d")
     if out.requires_grad:
         def _backward(g):
-            buf = np.zeros((n, ho, wo, c, ph * pw), dtype=g.dtype)
-            np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-            dxc = buf.reshape(n, ho, wo, c, ph, pw).transpose(0, 1, 4, 2, 5, 3)
+            # g is routed through an all-ones or all-zeros bit mask: a routed
+            # position gets g's exact bits (-0.0 included), every other one
+            # +0.0, without the branches of a masked copy
+            bits = np.dtype(f"u{g.itemsize}")
             dx = np.zeros_like(x.data)
-            dx[:, :ho * ph, :wo * pw, :] = dxc.reshape(n, ho * ph, wo * pw, c)
+            free = np.ones(data.shape, dtype=bool)
+            for index in offsets:
+                hit = x.data[index] == data
+                hit &= free
+                free ^= hit
+                np.bitwise_and(g.view(bits), np.negative(hit, dtype=bits), out=dx.view(bits)[index])
             x.accumulate_grad(dx)
         out._backward = _backward
     return out

@@ -64,8 +64,10 @@ _evaluate = importlib.import_module(".evaluate", __package__)
 # No package code reads this variable; perfbench/workloads.py still sets it.
 CACHE_ENV_VAR = "DRCBENCH_CACHE_DIR"
 
-#: clips per branch call in ``cmd_embed``. A row's last float bits depend on
-#: the batch it is computed in, so features are reproducible only at a fixed value.
+#: clips per branch call in ``cmd_embed``. BLAS computes the rows of a partial
+#: block with other kernels, so a row's last float bits would depend on the
+#: rows computed with it; every call therefore gets a whole batch (the last one
+#: is padded), and a clip's features do not depend on its neighbours.
 EMBED_BATCH = 8
 
 
@@ -156,30 +158,34 @@ def load_pair_arrays(root: str | Path, manifest: DatasetManifest,
     from the WAVs, so a dataset regenerated in place is never read stale.
     """
     root = Path(root)
-    rows, a_idx, b_idx = _load_unique_wavs(
-        manifest, lambda wav_rel: _clip_representation(read_wav(root / wav_rel), rep))
-    return np.stack(rows), a_idx, b_idx
+    return _load_unique_wavs(
+        manifest, root, lambda wav_rel: _clip_representation(read_wav(root / wav_rel), rep))
 
 
-def _load_unique_wavs(manifest: DatasetManifest,
-                      load: Callable[[str], object]) -> tuple[list, np.ndarray, np.ndarray]:
+def _load_unique_wavs(manifest: DatasetManifest, root: Path,
+                      load: Callable[[str], np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``load`` each WAV of the manifest once, in order of first appearance.
 
-    Returns ``(items, a_idx, b_idx)``: entry ``i`` pairs ``items[a_idx[i]]``
-    (unprocessed) with ``items[b_idx[i]]`` (processed).
+    Returns ``(rows, a_idx, b_idx)``: ``rows`` stacks the loaded arrays, and
+    entry ``i`` pairs ``rows[a_idx[i]]`` (unprocessed) with ``rows[b_idx[i]]``
+    (processed). Each array is copied into ``rows`` as soon as it is loaded,
+    so no list of per-WAV arrays lives beside the stack, scattered among the
+    reads' temporaries.
     """
     row_of: dict[str, int] = {}
-    items: list = []
-
-    def row(wav_rel: str) -> int:
-        if wav_rel not in row_of:
-            row_of[wav_rel] = len(items)
-            items.append(load(wav_rel))
-        return row_of[wav_rel]
-
-    pairs = [(row(e.unprocessed), row(e.processed)) for e in manifest.entries]
+    pairs = [(row_of.setdefault(e.unprocessed, len(row_of)),
+              row_of.setdefault(e.processed, len(row_of))) for e in manifest.entries]
+    rows = None
+    for wav_rel, i in row_of.items():
+        row = load(wav_rel)
+        if rows is None:
+            rows = np.empty((len(row_of), *row.shape), dtype=row.dtype)
+        elif row.shape != rows.shape[1:]:
+            raise DataError(f"{root / wav_rel}: shape {row.shape} differs from the first "
+                            f"WAV's {rows.shape[1:]}; clips of a dataset must have equal length")
+        rows[i] = row
     a_idx, b_idx = np.array(pairs, dtype=np.intp).T
-    return items, a_idx, b_idx
+    return rows, a_idx, b_idx
 
 
 def normalized_labels(manifest: DatasetManifest) -> tuple[np.ndarray, dict[str, tuple[float, float]]]:
@@ -235,6 +241,14 @@ def cmd_train(cfg: dict, dataset_dir: str | Path, out_dir: str | Path) -> Path:
     return ckpt
 
 
+def embed_clips(model: SiameseModel, clips: np.ndarray) -> np.ndarray:
+    """Branch embeddings of ``clips``, ``EMBED_BATCH`` per call. The last call is
+    padded to a whole batch by repeating the last clip; its padded rows are dropped."""
+    last = len(clips) - 1
+    return np.concatenate([model.embed(clips[np.minimum(np.arange(i, i + EMBED_BATCH), last)])
+                           for i in range(0, len(clips), EMBED_BATCH)])[:len(clips)]
+
+
 def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
               out_path: str | Path, source: str = "embeddings") -> np.ndarray:
     """Write per-entry feature rows: model merge embeddings or the baseline stats."""
@@ -245,8 +259,8 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         # the stats of an unprocessed loop are shared by all its entries; only
         # the six stats of each WAV are kept, not its samples
         stats, a_idx, b_idx = _load_unique_wavs(
-            manifest, lambda rel: _evaluate.clip_stats(read_wav(root / rel)))
-        features = baseline_matrix(np.stack(stats), a_idx, b_idx).astype(np.float32)
+            manifest, root, lambda rel: _evaluate.clip_stats(read_wav(root / rel)))
+        features = baseline_matrix(stats, a_idx, b_idx).astype(np.float32)
         meta_extra = {"checkpoint": None}
     elif source == "embeddings":
         if checkpoint is None or not Path(checkpoint).exists():
@@ -255,8 +269,7 @@ def cmd_embed(cfg: dict, dataset_dir: str | Path, checkpoint: str | Path | None,
         model, sidecar = load_model(checkpoint)
         # f(unprocessed) depends only on the loop: run the branch once per WAV
         clips, a_idx, b_idx = load_pair_arrays(root, manifest, sidecar["representation"])
-        emb = np.concatenate([model.embed(clips[i:i + EMBED_BATCH])
-                              for i in range(0, len(clips), EMBED_BATCH)])
+        emb = embed_clips(model, clips)
         features = emb[b_idx] - emb[a_idx]
         check_finite(features, "sub")
         meta_extra = {"checkpoint": str(checkpoint)}

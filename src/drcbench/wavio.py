@@ -87,17 +87,20 @@ def _parse_wav(raw: bytes, clip_id: str | None) -> AudioClip:
             raise FormatError(f"bits per sample: expected 16 for PCM, got {bits}")
         if len(data) % 2:
             raise FormatError(f"data chunk size: {len(data)} not a multiple of 2")
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _PCM16_SCALE
+        samples = np.frombuffer(data, dtype="<i2") / _PCM16_SCALE
+        np.clip(samples, -1.0, 1.0, out=samples)  # -32768 decodes just below -1
     elif fmt_tag == WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise FormatError(f"bits per sample: expected 32 for float, got {bits}")
         if len(data) % 4:
             raise FormatError(f"data chunk size: {len(data)} not a multiple of 4")
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        # a float WAV may hold samples beyond full scale; they load clipped.
+        # AudioClip's one float64 copy is the conversion of this float32 array
+        samples = np.clip(np.frombuffer(data, dtype="<f4"), -1.0, 1.0)
     else:
         raise FormatError(
             f"format tag: expected PCM (1) or IEEE float (3), got {fmt_tag}"
         )
     if samples.size == 0:
         raise FormatError("data chunk: contains no samples")
-    return AudioClip(samples=np.clip(samples, -1.0, 1.0), sample_rate=sample_rate, clip_id=clip_id)
+    return AudioClip(samples=samples, sample_rate=sample_rate, clip_id=clip_id)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drcbench.autodiff import (
     Adadelta,
@@ -69,6 +70,114 @@ def sq(t):
     """Squared-error scalar of a flattened tensor against zeros."""
     f = flatten(t)
     return mse_loss(f, np.zeros(f.data.shape))
+
+
+# -- reference implementations ------------------------------------------------
+# Direct forms the layers are checked against: kh·kw rank-C products for the
+# convolution, and argmax over a transposed window copy for the pooling. Each
+# returns the output and the gradients for an upstream gradient g.
+
+
+def conv2d_oracle(x, w, b, g):
+    """Valid stride-1 cross-correlation, one offset of the kernel at a time."""
+    n, h, width, c = x.shape
+    kh, kw, _, f = w.shape
+    ho, wo = h - kh + 1, width - kw + 1
+    out = np.zeros((n, ho, wo, f), dtype=x.dtype)
+    flat = out.reshape(-1, f)
+    gf = g.reshape(-1, f)
+    dw = np.empty_like(w)
+    dx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            xs = x[:, i:i + ho, j:j + wo, :].reshape(-1, c)
+            flat += xs @ w[i, j]
+            dw[i, j] = xs.T @ gf
+            dx[:, i:i + ho, j:j + wo, :] += (gf @ w[i, j].T).reshape(n, ho, wo, c)
+    out += b
+    return out, dx, dw, gf.sum(axis=0)
+
+
+def maxpool2d_oracle(x, window, g):
+    """Window maximum by argmax over a transposed copy; g goes to the argmax."""
+    ph, pw = window
+    n, h, width, c = x.shape
+    ho, wo = h // ph, width // pw
+    windows = x[:, :ho * ph, :wo * pw, :].reshape(n, ho, ph, wo, pw, c).transpose(0, 1, 3, 5, 2, 4)
+    flat = windows.reshape(n, ho, wo, c, ph * pw)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    buf = np.zeros((n, ho, wo, c, ph * pw), dtype=g.dtype)
+    np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
+    dx = np.zeros_like(x)
+    dx[:, :ho * ph, :wo * pw, :] = buf.reshape(n, ho, wo, c, ph, pw).transpose(
+        0, 1, 4, 2, 5, 3).reshape(n, ho * ph, wo * pw, c)
+    return out, dx
+
+
+def forward_and_grads(build, arrays, seed):
+    """Run ``build`` on tensors of ``arrays`` and back-propagate a random upstream
+    gradient. Returns the output, that gradient, and the gradient of each input."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    target = np.random.default_rng(seed).normal(size=out.data.size).astype(out.dtype)
+    mse_loss(flatten(out), target.reshape(out.shape[0], -1)).backward()
+    return out.data, out.grad, [t.grad for t in tensors]
+
+
+def _draw_input(rng, shape, dtype, kind):
+    if kind == "normal":
+        return rng.normal(size=shape).astype(dtype)
+    # small integers tie often; their zeros carry both signs
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    x[x == 0] = np.where(rng.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+       kind=st.sampled_from(["normal", "ties"]), n=st.integers(1, 3), h=st.integers(1, 9),
+       width=st.integers(3, 9), c=st.integers(1, 3),
+       window=st.sampled_from(["any", "tall", "1x3"]), data=st.data())
+def test_maxpool2d_matches_argmax_oracle_bytes(seed, dtype, kind, n, h, width, c, window, data):
+    if window == "tall":  # model 3 collapses the frequency axis: (h, 1)
+        ph, pw = data.draw(st.integers(1, h)), 1
+    elif window == "1x3":  # maxpool1d
+        ph, pw = 1, 3
+    else:
+        ph, pw = data.draw(st.integers(1, h)), data.draw(st.integers(1, width))
+    x = _draw_input(np.random.default_rng(seed), (n, h, width, c), dtype, kind)
+    out, g, (dx,) = forward_and_grads(lambda t: maxpool2d(t, (ph, pw)), [x], seed + 1)
+    want_out, want_dx = maxpool2d_oracle(x, (ph, pw), g)
+    assert out.dtype == want_out.dtype and out.tobytes() == want_out.tobytes()
+    assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+       n=st.integers(1, 3), h=st.integers(1, 8), width=st.integers(1, 8), c=st.integers(1, 3),
+       f=st.integers(1, 4), data=st.data())
+def test_conv2d_matches_loop_oracle(seed, dtype, n, h, width, c, f, data):
+    kh, kw = data.draw(st.integers(1, h)), data.draw(st.integers(1, width))
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((n, h, width, c), (kh, kw, c, f), (f,))]
+    out, g, grads = forward_and_grads(conv2d, arrays, seed + 1)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip([out, *grads], conv2d_oracle(*arrays, g)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * max(1.0, np.abs(want).max()))
+
+
+def test_maxpool2d_tie_routes_to_first_in_row_major_order():
+    # windows: all equal; equal at (0, 1) and (1, 0); +0.0 then -0.0 in one row
+    x = np.array([[3.0, 3.0, 1.0, 3.0, 0.0, -0.0],
+                  [3.0, 3.0, 3.0, 2.0, -1.0, -1.0]])[None, :, :, None]
+    t = Tensor(x, requires_grad=True)
+    out = maxpool2d(t, (2, 2))
+    assert out.data.ravel().tolist() == [3.0, 3.0, 0.0]
+    assert not np.signbit(out.data).any()  # the first of +0.0 and -0.0
+    mse_loss(flatten(out), np.full((1, 3), -1.0)).backward()  # no window's gradient is 0
+    assert set(zip(*np.nonzero(t.grad[0, :, :, 0]))) == {(0, 0), (0, 3), (0, 4)}
 
 
 # -- forward-value oracles ---------------------------------------------------

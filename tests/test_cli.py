@@ -2,14 +2,16 @@ import importlib
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drcbench import experiment
+from drcbench.audio import AudioClip
 from drcbench.cli import main
 from drcbench.dataset import DatasetManifest
-from drcbench.errors import ConfigError, NumericError
+from drcbench.errors import ConfigError, DataError, NumericError
 from drcbench.models import (
     Model1Branch,
     ModelSpec,
@@ -19,7 +21,7 @@ from drcbench.models import (
     train,
 )
 from drcbench.spectrogram import read_matrix, write_matrix
-from drcbench.wavio import read_wav
+from drcbench.wavio import read_wav, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +189,29 @@ def test_embed_runs_branch_once_per_unique_wav(run_dir, dataset_dir, tmp_path, m
     monkeypatch.setattr(Model1Branch, "forward", counting_forward)
     features = experiment.cmd_embed(experiment.load_config(), dataset_dir,
                                     run_dir / "checkpoint.drcw", tmp_path / "features.spec")
-    assert sum(rows) == 5 + 15  # each unprocessed loop once, each processed entry once
+    # each unprocessed loop once, each processed entry once (5 + 15 clips), in
+    # whole batches: the last call repeats its last clip to fill the batch
+    assert rows == [8, 8, 8]
     assert features.tobytes() == read_matrix(run_dir / "features.spec").tobytes()
+
+
+# the desk run's input of each variant: 2 s clips at 16 kHz
+DESK_INPUTS = {"model1_spec_tuned": (65, 499), "model1_mel": (128, 251),
+               "model3_multikernel": (129, 251), "model2_waveform": (32000,)}
+
+
+@pytest.mark.parametrize("variant", sorted(DESK_INPUTS))
+def test_embed_clips_are_batch_invariant(variant):
+    # A clip's features must not depend on the clips that share its batch.
+    # Shifting five clips by 0-7 places puts each at every position of a batch,
+    # in a whole batch, in a padded last batch and split across two.
+    shape = DESK_INPUTS[variant]
+    clips = np.random.default_rng(7).uniform(0.0, 1.0, (12, *shape)).astype(np.float32)
+    model = SiameseModel(ModelSpec(variant=variant, num_para=1, seed=5), shape)
+    alone = experiment.embed_clips(model, clips[7:])
+    for offset in range(1, 8):
+        shifted = experiment.embed_clips(model, clips[7 - offset:])
+        assert shifted[offset:].tobytes() == alone.tobytes(), offset
 
 
 def test_embed_non_finite_merge_exit_3(run_dir, dataset_dir, tmp_path, monkeypatch, capsys):
@@ -574,6 +597,35 @@ def test_corrupt_loop_sidecar_exit_2(dataset_dir, tmp_path, corrupt, message, ca
     assert f"error: {sidecar}: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_loader_fills_one_array_in_place(dataset_dir):
+    # A list of per-WAV rows stacked at the end holds every row twice at its
+    # peak; filling one array as the WAVs load holds it once, plus one read.
+    manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+    tracemalloc.start()
+    try:
+        clips, _, _ = experiment.load_pair_arrays(dataset_dir, manifest,
+                                                  default_representation("model2_waveform"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clips.shape == (20, 16000)
+    assert peak < 1.5 * clips.nbytes
+
+
+def test_loops_of_unequal_length_are_named(dataset_dir, tmp_path):
+    loops = tmp_path / "loops"
+    loops.mkdir()
+    (loops / "loop000.wav").write_bytes((dataset_dir / "loops" / "loop000.wav").read_bytes())
+    clip = read_wav(dataset_dir / "loops" / "loop001.wav")
+    write_wav(loops / "loop001.wav", AudioClip(clip.samples[:-1000], clip.sample_rate))
+    out = tmp_path / "ds"
+    assert main(["generate", "--out", str(out), "--family", "DS3", "--loops", "2",
+                 "--settings", "2", "--loops-dir", str(loops)]) == 0
+    manifest = DatasetManifest.load(out / "manifest.json")
+    with pytest.raises(DataError, match="loop001.wav: shape .* differs from the first WAV's"):
+        experiment.load_pair_arrays(out, manifest, default_representation("model1_spec_tuned"))
 
 
 def test_corrupt_features_metadata_exit_2(run_dir, dataset_dir, tmp_path, capsys):

@@ -115,3 +115,22 @@ def test_float32_round_trip_property(tmp_path_factory, n, sr, seed):
     loaded = read_wav(path)
     assert loaded.sample_rate == sr
     assert np.array_equal(loaded.samples, samples)
+
+
+def test_out_of_range_samples_load_clipped(tmp_path):
+    # a float WAV may hold samples beyond full scale, and PCM16 -32768 decodes
+    # just below -1: both load clipped to full scale, the rest unchanged
+    path = tmp_path / "loud.wav"
+    write_wav(path, _clip([0.25, 0.5, -0.75]), encoding="float32")
+    blob = path.read_bytes()
+    loud = blob.replace(np.float32(0.5).tobytes(), np.float32(1.5).tobytes())
+    path.write_bytes(loud.replace(np.float32(-0.75).tobytes(), np.float32(-2.0).tobytes()))
+    loaded = read_wav(path)
+    assert loaded.samples.dtype == np.float64
+    assert loaded.samples.tolist() == [0.25, 1.0, -1.0]
+
+    path = tmp_path / "floor.wav"
+    write_wav(path, _clip([0.0, -1.0]), encoding="pcm16")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-2] + np.int16(-32768).astype("<i2").tobytes())
+    assert read_wav(path).samples.tolist() == [0.0, -1.0]
